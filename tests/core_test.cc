@@ -3,9 +3,17 @@
 // two worked flaws (§3.1) and the Figure 1 derivation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "core/analyzer.h"
 #include "core/capability.h"
 #include "core/closure.h"
+#include "core/pair_table.h"
 #include "core/requirement.h"
 #include "schema/user.h"
 #include "unfold/unfolded.h"
@@ -369,6 +377,139 @@ TEST(AnalyzerTest, UserAnalysisIsReusable) {
   EXPECT_FALSE(report1->satisfied);
   EXPECT_FALSE(report2->satisfied);  // budget is writable hence inferable
   EXPECT_GT(report1->fact_count, 0u);
+}
+
+// --- PairTable: the open-addressed pi* pair store ---
+
+using IntPairTable = PairTable<int>;
+
+// Every live (a, b, value), sorted (ForEach order is unspecified).
+std::vector<std::tuple<int, int, int>> Contents(const IntPairTable& table) {
+  std::vector<std::tuple<int, int, int>> out;
+  table.ForEach([&](int a, int b, int value) { out.emplace_back(a, b, value); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(PairTableTest, FindOnEmptyTable) {
+  IntPairTable table;
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.Find(0, 0), IntPairTable::kNoSlot);
+  EXPECT_EQ(table.Find(7, 3), IntPairTable::kNoSlot);
+  table.Erase(7, 3);  // no-op on an empty table
+  EXPECT_TRUE(Contents(table).empty());
+}
+
+TEST(PairTableTest, InsertFindAndDirection) {
+  IntPairTable table;
+  bool inserted = false;
+  int slot = table.Insert(1, 2, &inserted);
+  EXPECT_TRUE(inserted);
+  table.at(slot) = 12;
+  EXPECT_EQ(table.Insert(1, 2, &inserted), slot);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(table.Find(1, 2), slot);
+  EXPECT_EQ(table.Find(2, 1), IntPairTable::kNoSlot);  // ordered pairs
+  int reverse = table.Insert(2, 1);
+  EXPECT_NE(reverse, slot);
+  EXPECT_EQ(table.at(reverse), 0);  // value-initialized
+  EXPECT_EQ(table.at(table.Find(1, 2)), 12);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(PairTableTest, GrowthKeepsSlotsStable) {
+  IntPairTable table;
+  std::map<std::pair<int, int>, int> slots;
+  // Far past the initial 16 buckets: many index doublings.
+  for (int a = 0; a < 60; ++a) {
+    for (int b = 0; b < 60; b += 7) {
+      int slot = table.Insert(a, b);
+      table.at(slot) = a * 1000 + b;
+      slots[{a, b}] = slot;
+      if (a % 13 == 0) {
+        // Spot-check every earlier pair mid-growth.
+        for (const auto& [key, expected] : slots) {
+          ASSERT_EQ(table.Find(key.first, key.second), expected);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(table.size(), slots.size());
+  for (const auto& [key, slot] : slots) {
+    EXPECT_EQ(table.Find(key.first, key.second), slot);
+    EXPECT_EQ(table.at(slot), key.first * 1000 + key.second);
+  }
+}
+
+TEST(PairTableTest, TombstoneReuseUnderChurn) {
+  IntPairTable table;
+  std::map<std::pair<int, int>, int> live;  // pair -> value
+  std::mt19937 rng(20261017);
+  size_t peak_live = 0;
+  for (int step = 0; step < 20000; ++step) {
+    int a = static_cast<int>(rng() % 24);
+    int b = static_cast<int>(rng() % 24);
+    if (rng() % 2 == 0) {
+      bool inserted = false;
+      int slot = table.Insert(a, b, &inserted);
+      ASSERT_EQ(inserted, live.count({a, b}) == 0);
+      if (inserted) {
+        table.at(slot) = step;
+        live[{a, b}] = step;
+        peak_live = std::max(peak_live, live.size());
+        // Freed slots are reused before the pool grows, so slot ids
+        // stay below the peak number of live pairs.
+        ASSERT_LT(static_cast<size_t>(slot), peak_live);
+      }
+    } else {
+      table.Erase(a, b);
+      live.erase({a, b});
+    }
+    ASSERT_EQ(table.size(), live.size());
+    ASSERT_EQ(Contents(table).size(), live.size());
+  }
+  for (const auto& [key, value] : live) {
+    int slot = table.Find(key.first, key.second);
+    ASSERT_NE(slot, IntPairTable::kNoSlot);
+    EXPECT_EQ(table.at(slot), value);
+  }
+  // Every pair not live is absent despite the tombstones on its path.
+  for (int a = 0; a < 24; ++a) {
+    for (int b = 0; b < 24; ++b) {
+      if (live.count({a, b}) == 0) {
+        EXPECT_EQ(table.Find(a, b), IntPairTable::kNoSlot) << a << "," << b;
+      }
+    }
+  }
+}
+
+TEST(PairTableTest, ErasedSlotIsReusedAndReset) {
+  IntPairTable table;
+  int first = table.Insert(3, 4);
+  table.at(first) = 34;
+  int second = table.Insert(5, 6);
+  table.Erase(3, 4);
+  EXPECT_EQ(table.Find(3, 4), IntPairTable::kNoSlot);
+  int reused = table.Insert(7, 8);
+  EXPECT_EQ(reused, first);         // the free list hands the slot back
+  EXPECT_EQ(table.at(reused), 0);   // with a fresh value
+  EXPECT_EQ(table.Find(5, 6), second);
+}
+
+TEST(PairTableTest, ForEachSkipsErasedSlots) {
+  IntPairTable table;
+  for (int i = 0; i < 6; ++i) table.at(table.Insert(i, i + 1)) = i;
+  table.Erase(1, 2);
+  table.Erase(4, 5);
+  std::vector<std::tuple<int, int, int>> expected = {
+      {0, 1, 0}, {2, 3, 2}, {3, 4, 3}, {5, 6, 5}};
+  EXPECT_EQ(Contents(table), expected);
+  table.Erase(0, 1);
+  table.Erase(2, 3);
+  table.Erase(3, 4);
+  table.Erase(5, 6);
+  EXPECT_TRUE(table.empty());
+  EXPECT_TRUE(Contents(table).empty());
 }
 
 }  // namespace
