@@ -280,6 +280,43 @@ TEST(ParallelClosureTest, LargeBuildTakesParallelPathAndMatches) {
   EXPECT_GT(obs.metrics.counter("closure.parallel.chunks")->value(), 0u);
 }
 
+TEST(ParallelClosureTest, CountersIdenticalAcrossThreadCounts) {
+  // Every published closure metric except the closure.parallel.* ones
+  // (which describe the crew, not the work) is a function of the build
+  // alone: chunk workers count into their own buffers and the barrier
+  // folds them in, so how the frontier was split must not show.
+  const int kScale = 8;
+  auto schema = ScaledBrokerSchema(kScale);
+  std::vector<std::string> roots = ScaledBrokerRoots(kScale);
+  auto metrics_at = [&](int threads) {
+    obs::Observability obs;
+    auto set = Unfold(*schema, roots);
+    Closure closure(*set, WithThreads(threads), &obs);
+    std::vector<obs::MetricSnapshot> metrics = obs.metrics.Snapshot();
+    std::erase_if(metrics, [](const obs::MetricSnapshot& m) {
+      return m.name.starts_with("closure.parallel.");
+    });
+    return metrics;
+  };
+
+  std::vector<obs::MetricSnapshot> reference = metrics_at(1);
+  bool saw_proposals = false;
+  for (const obs::MetricSnapshot& m : reference) {
+    if (m.name == "closure.pistar.join_proposals") saw_proposals = m.value > 0;
+  }
+  EXPECT_TRUE(saw_proposals);
+  for (int threads : {2, 8}) {
+    std::vector<obs::MetricSnapshot> metrics = metrics_at(threads);
+    ASSERT_EQ(metrics.size(), reference.size()) << threads;
+    for (size_t i = 0; i < metrics.size(); ++i) {
+      EXPECT_EQ(metrics[i], reference[i])
+          << reference[i].name << " = " << reference[i].value << " vs "
+          << metrics[i].name << " = " << metrics[i].value << " at "
+          << threads << " threads";
+    }
+  }
+}
+
 TEST(ParallelClosureTest, AutoAndClampedThreadCountsResolve) {
   // closure_threads = 0 resolves to hardware concurrency; absurd values
   // clamp instead of exploding. Both must still match the reference.
@@ -375,6 +412,20 @@ TEST(GoldenLogTest, ColdScaledBroker8) {
     Closure closure(*set, WithThreads(threads));
     EXPECT_EQ(closure.fact_count(), 17623u) << threads;
     EXPECT_EQ(LogFingerprint(closure), 1266032250442229820ull) << threads;
+  }
+}
+
+TEST(GoldenLogTest, ColdScaledBroker16) {
+  // The audit-sized shape (~68k facts, nearly all pi*): most of its
+  // pairs fill their origin sets, so it pins the join's full-pair and
+  // same-round duplicate handling at the scale where they dominate.
+  auto schema = ScaledBrokerSchema(16);
+  std::vector<std::string> roots = ScaledBrokerRoots(16);
+  for (int threads : {1, 4}) {
+    auto set = Unfold(*schema, roots);
+    Closure closure(*set, WithThreads(threads));
+    EXPECT_EQ(closure.fact_count(), 68007u) << threads;
+    EXPECT_EQ(LogFingerprint(closure), 13083374296483510378ull) << threads;
   }
 }
 
