@@ -789,8 +789,7 @@ struct WorkerAudit {
 // retraction, so the derivation log — and with it every report byte —
 // matches what a fresh single-process CheckBatch would have produced,
 // regardless of routing, requeues, or what this worker built before.
-common::Status ProcessBatch(const schema::Schema& schema,
-                            std::string_view payload, WorkerAudit& audit,
+common::Status ProcessBatch(std::string_view payload, WorkerAudit& audit,
                             FrameType* reply_type, std::string* reply) {
   ByteReader r(payload);
   const uint32_t batch_id = r.GetU32();
@@ -983,8 +982,7 @@ common::Status ServeShardWorker(net::Listener& listener,
       if (frame.type == FrameType::kBatch) {
         FrameType reply_type = FrameType::kReports;
         std::string reply;
-        if (!ProcessBatch(schema, frame.payload, audit, &reply_type, &reply)
-                 .ok()) {
+        if (!ProcessBatch(frame.payload, audit, &reply_type, &reply).ok()) {
           break;
         }
         pending_replies += net::EncodeFrameHeader(reply_type, reply);
