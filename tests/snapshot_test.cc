@@ -27,6 +27,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/strings.h"
@@ -324,6 +325,91 @@ TEST(SnapshotRoundtrip, OptionsChangeTheFileName) {
             snapshot::SnapshotFileName(a, {"checkBudget"}));
   EXPECT_EQ(snapshot::SnapshotFileName(a, kFullRoots),
             snapshot::SnapshotFileName(a, kFullRoots));
+}
+
+// --- schema fingerprint golden values ---------------------------------
+//
+// SchemaFingerprint stamps every snapshot record, pack index entry and
+// store/shard hello, so its value is part of the on-disk and on-wire
+// formats: these pins must hold across any change to how it is computed.
+
+std::unique_ptr<schema::Schema> ScaledBrokerSchema(int scale) {
+  schema::SchemaBuilder builder;
+  std::vector<schema::SchemaBuilder::AttributeSpec> attributes;
+  attributes.push_back({"name", "string"});
+  for (int i = 0; i < scale; ++i) {
+    attributes.push_back({common::StrCat("salary", i), "int"});
+    attributes.push_back({common::StrCat("budget", i), "int"});
+    attributes.push_back({common::StrCat("profit", i), "int"});
+  }
+  builder.AddClass("Broker", std::move(attributes));
+  for (int i = 0; i < scale; ++i) {
+    builder.AddFunction(
+        common::StrCat("checkBudget", i), {{"broker", "Broker"}}, "bool",
+        common::StrCat("r_budget", i, "(broker) >= 10 * r_salary", i,
+                       "(broker)"));
+    builder.AddFunction(common::StrCat("calcSalary", i),
+                        {{"budget", "int"}, {"profit", "int"}}, "int",
+                        "budget / 10 + profit / 2");
+    builder.AddFunction(
+        common::StrCat("updateSalary", i), {{"broker", "Broker"}}, "null",
+        common::StrCat("w_salary", i, "(broker, calcSalary", i, "(r_budget",
+                       i, "(broker), r_profit", i, "(broker)))"));
+  }
+  auto result = std::move(builder).Build();
+  EXPECT_TRUE(result.ok()) << result.status();
+  return std::move(result).value();
+}
+
+ClosureOptions NonDefaultOptions() {
+  ClosureOptions options;
+  options.pi_join_to_ti = false;
+  options.write_read_equality = false;
+  return options;
+}
+
+TEST(SchemaFingerprintGolden, Stockbroker) {
+  auto schema = BrokerSchema();
+  EXPECT_EQ(snapshot::SchemaFingerprint(*schema, ClosureOptions()),
+            7570603893402818940ull);
+  EXPECT_EQ(snapshot::SchemaFingerprint(*schema, NonDefaultOptions()),
+            9193272889406649544ull);
+  // Repeat calls on one schema agree (and with the first call).
+  EXPECT_EQ(snapshot::SchemaFingerprint(*schema, ClosureOptions()),
+            snapshot::SchemaFingerprint(*BrokerSchema(), ClosureOptions()));
+}
+
+TEST(SchemaFingerprintGolden, ScaledBroker8) {
+  auto schema = ScaledBrokerSchema(8);
+  EXPECT_EQ(snapshot::SchemaFingerprint(*schema, ClosureOptions()),
+            10400198158994903208ull);
+  EXPECT_EQ(snapshot::SchemaFingerprint(*schema, NonDefaultOptions()),
+            10404491589376550708ull);
+}
+
+TEST(SchemaFingerprintGolden, ConcurrentFirstUseAgrees) {
+  // Eight threads race to fingerprint one fresh schema (both option
+  // sets, so first use overlaps with a second option set); every result
+  // must equal the value computed on a separate, quiet schema.
+  auto schema = ScaledBrokerSchema(8);
+  auto quiet = ScaledBrokerSchema(8);
+  const uint64_t want_default =
+      snapshot::SchemaFingerprint(*quiet, ClosureOptions());
+  const uint64_t want_other =
+      snapshot::SchemaFingerprint(*quiet, NonDefaultOptions());
+  constexpr int kThreads = 8;
+  std::vector<uint64_t> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      got[t] = snapshot::SchemaFingerprint(
+          *schema, t % 2 == 0 ? ClosureOptions() : NonDefaultOptions());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], t % 2 == 0 ? want_default : want_other) << t;
+  }
 }
 
 // --- the cross-process fixture (ctest: snapshot_roundtrip) -----------
