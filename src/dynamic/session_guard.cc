@@ -29,6 +29,13 @@ bool Intersects(const std::set<T>& a, const std::set<T>& b) {
   return false;
 }
 
+// Default guard options over `closure`.
+GuardOptions WithClosure(core::ClosureOptions closure) {
+  GuardOptions options;
+  options.closure = closure;
+  return options;
+}
+
 }  // namespace
 
 SessionGuard::SessionGuard(const schema::Schema& schema,
@@ -36,7 +43,7 @@ SessionGuard::SessionGuard(const schema::Schema& schema,
                            std::vector<core::Requirement> requirements,
                            core::ClosureOptions options)
     : SessionGuard(schema, users, std::move(requirements),
-                   GuardOptions{.closure = options}) {}
+                   WithClosure(options)) {}
 
 SessionGuard::SessionGuard(const schema::Schema& schema,
                            const schema::UserRegistry& users,

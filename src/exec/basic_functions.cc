@@ -49,6 +49,12 @@ int64_t I(const Value& v) { return v.int_value(); }
 bool B(const Value& v) { return v.bool_value(); }
 const std::string& S(const Value& v) { return v.string_value(); }
 
+// int64 arithmetic wraps (two's complement). It is computed through
+// uint64_t, where overflow is defined, instead of overflowing int64_t,
+// where it is undefined behaviour.
+int64_t Wrap(uint64_t v) { return static_cast<int64_t>(v); }
+uint64_t U(int64_t v) { return static_cast<uint64_t>(v); }
+
 }  // namespace
 
 std::unique_ptr<BasicFunctionCatalog> BasicFunctionCatalog::MakeDefault(
@@ -76,16 +82,23 @@ std::unique_ptr<BasicFunctionCatalog> BasicFunctionCatalog::MakeDefault(
         }));
   };
 
-  int2int("+", [](int64_t x, int64_t y) { return x + y; });
-  int2int("-", [](int64_t x, int64_t y) { return x - y; });
-  int2int("*", [](int64_t x, int64_t y) { return x * y; });
-  // Division and remainder are made total: a zero divisor yields 0.
-  int2int("/", [](int64_t x, int64_t y) { return y == 0 ? 0 : x / y; });
-  int2int("%", [](int64_t x, int64_t y) { return y == 0 ? 0 : x % y; });
+  int2int("+", [](int64_t x, int64_t y) { return Wrap(U(x) + U(y)); });
+  int2int("-", [](int64_t x, int64_t y) { return Wrap(U(x) - U(y)); });
+  int2int("*", [](int64_t x, int64_t y) { return Wrap(U(x) * U(y)); });
+  // Division and remainder are made total: a zero divisor yields 0, and
+  // the one overflowing quotient wraps like the rest of the arithmetic
+  // (INT64_MIN / -1 = INT64_MIN, INT64_MIN % -1 = 0) instead of
+  // trapping.
+  int2int("/", [](int64_t x, int64_t y) {
+    return y == 0 ? 0 : y == -1 ? Wrap(0 - U(x)) : x / y;
+  });
+  int2int("%", [](int64_t x, int64_t y) {
+    return y == 0 || y == -1 ? 0 : x % y;
+  });
   int2int("min", [](int64_t x, int64_t y) { return std::min(x, y); });
   int2int("max", [](int64_t x, int64_t y) { return std::max(x, y); });
-  int1int("neg", [](int64_t x) { return -x; });
-  int1int("abs", [](int64_t x) { return x < 0 ? -x : x; });
+  int1int("neg", [](int64_t x) { return Wrap(0 - U(x)); });
+  int1int("abs", [](int64_t x) { return x < 0 ? Wrap(0 - U(x)) : x; });
 
   int2bool("<", [](int64_t x, int64_t y) { return x < y; });
   int2bool(">", [](int64_t x, int64_t y) { return x > y; });

@@ -10,11 +10,9 @@
 // (the fork shard pipes, the snapshot header): a connection between
 // machines of different endianness is *detected* at the hello handshake
 // (each side sends snapshot::kByteOrderMark) and refused with a specific
-// diagnosis rather than mis-decoded. The one payload that legitimately
-// crosses endianness — a directory-format snapshot record inside a
-// store frame — carries its own byte-order marker and swap-decodes
-// itself (snapshot/snapshot.h, v2), so a heterogeneous fleet shares the
-// snapshot *tier* even though shard peers must match.
+// diagnosis rather than mis-decoded. That covers the store frames too:
+// they carry v3 packed snapshot records (snapshot/packed_store.h),
+// which are machine-local like the packs they come from.
 //
 // Robustness contract (the torn-frame / garbage-prefix tests in
 // net_test pin this): a reader never trusts a byte it has not
@@ -42,8 +40,9 @@ namespace oodbsec::net {
 
 // Protocol version spoken by TcpTransport / ServeShardWorker /
 // StoreServer; carried in every hello and bumped on any frame-layout or
-// payload-schema change.
-inline constexpr uint32_t kProtocolVersion = 1;
+// payload-schema change. v2: the store's Found and Save payloads are
+// v3 packed records (snapshot/packed_store.h), no longer v2 snapshots.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 inline constexpr uint32_t kFrameMagic = 0x314f4e46;  // "FNO1" LE spells ONF1
 // Upper bound a reader will allocate for one payload; a length above it
@@ -64,10 +63,10 @@ enum class FrameType : uint8_t {
   kStoreHello = 8,       // client -> server: version, byte order, fingerprint
   kStoreHelloAck = 9,    // server -> client
   kStoreFind = 10,       // client -> server: roots
-  kStoreFound = 11,      // server -> client: encoded snapshot bytes
+  kStoreFound = 11,      // server -> client: v3 packed record bytes
   kStoreMiss = 12,       // server -> client: no record for the signature
   kStoreFail = 13,       // server -> client: status code + message
-  kStoreSave = 14,       // client -> server: encoded snapshot bytes
+  kStoreSave = 14,       // client -> server: v3 packed record bytes
   kStoreSaveAck = 15,    // server -> client: status code + message
   kStoreStats = 16,      // client -> server
   kStoreStatsReply = 17, // server -> client: StoreStats fields

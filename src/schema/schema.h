@@ -16,8 +16,10 @@
 #ifndef OODBSEC_SCHEMA_SCHEMA_H_
 #define OODBSEC_SCHEMA_SCHEMA_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -142,6 +144,17 @@ class Schema {
   // Resolves `name` as an access function, "r_<att>", or "w_<att>".
   Callable ResolveCallable(std::string_view name) const;
 
+  // Memo for a digest of the whole schema (the schema part of
+  // snapshot::SchemaFingerprint). A Schema is immutable after
+  // SchemaBuilder::Build, so `compute` runs once, on the first call;
+  // concurrent first callers block until it is done. Every caller must
+  // pass the same computation.
+  template <typename Compute>
+  uint64_t MemoizedDigest(Compute&& compute) const {
+    std::call_once(digest_once_, [&] { digest_ = compute(); });
+    return digest_;
+  }
+
  private:
   friend class SchemaBuilder;
   Schema();
@@ -154,6 +167,8 @@ class Schema {
   std::map<std::string, const ClassDef*, std::less<>> class_index_;
   std::map<std::string, const FunctionDecl*, std::less<>> function_index_;
   std::map<std::string, const ClassDef*, std::less<>> attribute_index_;
+  mutable std::once_flag digest_once_;
+  mutable uint64_t digest_ = 0;
 };
 
 // Incrementally declares classes and functions, then validates and type

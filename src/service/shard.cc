@@ -44,13 +44,12 @@ std::string RunWorker(const schema::Schema& schema,
                       const std::vector<size_t>& indices,
                       const ShardOptions& options,
                       std::shared_ptr<snapshot::SnapshotStore> store) {
-  AnalysisService service(schema, users,
-                          ServiceOptions{.threads = options.threads,
-                                         .closure = options.closure,
-                                         .cache_capacity =
-                                             options.cache_capacity,
-                                         .snapshot_store =
-                                             std::move(store)});
+  ServiceOptions service_options;
+  service_options.threads = options.threads;
+  service_options.closure = options.closure;
+  service_options.cache_capacity = options.cache_capacity;
+  service_options.snapshot_store = std::move(store);
+  AnalysisService service(schema, users, service_options);
   std::vector<core::Requirement> subset;
   subset.reserve(indices.size());
   for (size_t gi : indices) subset.push_back(requirements[gi]);

@@ -69,13 +69,14 @@ struct IndexEntry {
 
 using PackIndex = std::map<uint64_t, IndexEntry>;  // key-sorted
 
+}  // namespace
+
 // ---- v3 entry codec ----------------------------------------------------
 
-// Serializes one cache entry into a v3 record: the v2-style header over
-// the packed in-place payload (see packed_store.h for the layout).
-std::string BuildEntryBytes(const schema::Schema& schema,
-                            const core::ClosureOptions& options,
-                            const core::CachedAnalysis& entry) {
+std::string EncodePackedRecord(const schema::Schema& schema,
+                               const core::ClosureOptions& options,
+                               const core::CachedAnalysis& entry) {
+  if (entry.closure == nullptr || entry.set == nullptr) return {};
   const std::vector<core::DerivationStep>& steps = entry.closure->steps();
 
   ByteWriter payload;
@@ -139,14 +140,10 @@ std::string BuildEntryBytes(const schema::Schema& schema,
   return file.Release() + payload.buffer();
 }
 
-// Validates and replays one mapped v3 record. `bytes` aliases the
-// segment mapping; nothing in the returned entry borrows from it (the
-// ReplayView constructor copies). The invalidation ladder mirrors
-// LoadSnapshot: magic/version → byte order → fingerprint → checksum →
-// structural validation → digest equality.
-common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeEntry(
-    const schema::Schema& schema, const core::ClosureOptions& options,
-    std::string_view label, std::string_view bytes, obs::Observability* obs) {
+common::Result<std::shared_ptr<const core::CachedAnalysis>>
+DecodePackedRecord(const schema::Schema& schema,
+                   const core::ClosureOptions& options, std::string_view bytes,
+                   std::string_view label, obs::Observability* obs) {
   obs::ScopedSpan span(obs != nullptr ? &obs->tracer : nullptr,
                        "snapshot.load");
   if (bytes.size() < kEntryHeaderSize ||
@@ -281,6 +278,8 @@ common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeEntry(
   }
   return std::shared_ptr<const core::CachedAnalysis>(std::move(entry));
 }
+
+namespace {
 
 // ---- segment parsing ---------------------------------------------------
 
@@ -453,19 +452,13 @@ class PackedStore final : public SnapshotStore,
     uint64_t fingerprint = SchemaFingerprint(schema, options);
     uint64_t key = SnapshotKeyHash(options, roots);
     std::unique_lock<std::mutex> lock(mu_);
-    ++finds_;
-    last_fingerprint_ = fingerprint;
-    has_fingerprint_ = true;
-    auto it = index_.find(key);
-    if (it == index_.end()) {
+    auto probed = ProbeLocked(key, fingerprint);
+    if (!probed.ok()) return probed.status();
+    if (probed.value() == nullptr) {
       lock.unlock();
       // Worker overlay: reads fall through to the parent segment.
       if (base_ != nullptr) return base_->Find(schema, options, roots, obs);
-      return common::NotFoundError(
-          common::StrCat("pack ", path_, ": no record for signature"));
-    }
-    if (it->second.fingerprint != fingerprint) {
-      return PackError(path_, "schema fingerprint mismatch (stale generation)");
+      return NoRecord();
     }
     if (std::shared_ptr<const core::CachedAnalysis> hot =
             PageLookupLocked(key, fingerprint, roots)) {
@@ -473,7 +466,7 @@ class PackedStore final : public SnapshotStore,
       return hot;
     }
     ++page_misses_;
-    auto decoded = DecodeLocked(it->second, schema, options, obs);
+    auto decoded = DecodeLocked(*probed.value(), schema, options, obs);
     if (!decoded.ok()) return decoded;
     if (decoded.value()->roots != roots) {
       // Keys hash (options, roots); on the vanishingly unlikely
@@ -485,6 +478,27 @@ class PackedStore final : public SnapshotStore,
     return decoded;
   }
 
+  // The mapped record bytes, copied out verbatim after the index
+  // fingerprint and mapping-bounds checks; the page cache is neither
+  // consulted nor filled (the receiver replays).
+  common::Result<std::string> FindRecord(
+      const schema::Schema& schema, const core::ClosureOptions& options,
+      const std::vector<std::string>& roots) override {
+    uint64_t fingerprint = SchemaFingerprint(schema, options);
+    uint64_t key = SnapshotKeyHash(options, roots);
+    std::unique_lock<std::mutex> lock(mu_);
+    auto probed = ProbeLocked(key, fingerprint);
+    if (!probed.ok()) return probed.status();
+    if (probed.value() == nullptr) {
+      lock.unlock();
+      if (base_ != nullptr) return base_->FindRecord(schema, options, roots);
+      return NoRecord();
+    }
+    OODBSEC_ASSIGN_OR_RETURN(std::string_view bytes,
+                             MappedRecordLocked(*probed.value()));
+    return std::string(bytes);
+  }
+
   common::Status Save(const schema::Schema& schema,
                       const core::ClosureOptions& options,
                       const core::CachedAnalysis& entry) override {
@@ -492,7 +506,7 @@ class PackedStore final : public SnapshotStore,
       return common::InvalidArgumentError("pack: entry has no closure");
     }
     uint64_t key = SnapshotKeyHash(options, entry.roots);
-    std::string bytes = BuildEntryBytes(schema, options, entry);
+    std::string bytes = EncodePackedRecord(schema, options, entry);
     uint64_t fingerprint = LoadU64(bytes.data() + 16);
     uint64_t checksum = LoadU64(bytes.data() + 24);
     std::lock_guard<std::mutex> lock(mu_);
@@ -906,16 +920,44 @@ class PackedStore final : public SnapshotStore,
     return sum;
   }
 
-  common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeLocked(
-      const IndexEntry& meta, const schema::Schema& schema,
-      const core::ClosureOptions& options, obs::Observability* obs) {
+  // Find's and FindRecord's shared probe: counts the find, stamps the
+  // generation, and returns the live index entry for `key` — nullptr on
+  // a local miss, an error when the record is of another generation.
+  common::Result<const IndexEntry*> ProbeLocked(uint64_t key,
+                                                uint64_t fingerprint) {
+    ++finds_;
+    last_fingerprint_ = fingerprint;
+    has_fingerprint_ = true;
+    auto it = index_.find(key);
+    if (it == index_.end()) return nullptr;
+    if (it->second.fingerprint != fingerprint) {
+      return PackError(path_, "schema fingerprint mismatch (stale generation)");
+    }
+    return &it->second;
+  }
+
+  common::Status NoRecord() const {
+    return common::NotFoundError(
+        common::StrCat("pack ", path_, ": no record for signature"));
+  }
+
+  // The entry bytes of `meta` inside the current mapping (8-aligned:
+  // records sit at 8-aligned offsets behind a 16-byte header).
+  common::Result<std::string_view> MappedRecordLocked(
+      const IndexEntry& meta) const {
     if (meta.offset + kRecordHeaderSize + meta.length > map_len_) {
       return common::InternalError(
           common::StrCat("pack ", path_, ": mapping out of date"));
     }
-    std::string_view bytes(map_ + meta.offset + kRecordHeaderSize,
-                           meta.length);
-    return DecodeEntry(schema, options, path_, bytes, obs);
+    return std::string_view(map_ + meta.offset + kRecordHeaderSize,
+                            meta.length);
+  }
+
+  common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeLocked(
+      const IndexEntry& meta, const schema::Schema& schema,
+      const core::ClosureOptions& options, obs::Observability* obs) {
+    OODBSEC_ASSIGN_OR_RETURN(std::string_view bytes, MappedRecordLocked(meta));
+    return DecodePackedRecord(schema, options, bytes, path_, obs);
   }
 
   std::shared_ptr<const core::CachedAnalysis> PageLookupLocked(

@@ -8,21 +8,25 @@
 // the same SnapshotStore interface the closure cache already speaks,
 // so the L1/L2 tiering code does not know the L2 is remote.
 //
-// What crosses the wire is a *decoded directory-format record* (the
-// EncodeSnapshot byte string: header + checksummed derivation log),
-// never a pack page: packs stay server-local, and the record's own v2
-// byte-order marker means a foreign-endian worker can still decode a
-// snapshot record even though the shard protocol itself refuses
-// foreign-endian peers. Both ends validate independently — the server
-// replays and digest-checks before encoding, the client re-validates
-// with DecodeSnapshot after the bytes arrive — so a lying peer or a
-// corrupted frame degrades to a miss, never to a wrong closure.
+// What crosses the wire is a *v3 packed record* (packed_store.h), the
+// same bytes a pack stores per entry: Find ships the record verbatim
+// (SnapshotStore::FindRecord — PackedStore copies it out of its
+// mapping) and Save sends one built by EncodePackedRecord. The server
+// never replays a record it serves; the worker that will use the
+// closure runs the full ladder once, with DecodePackedRecord:
+// magic/version → byte order → fingerprint → checksum → structure →
+// replay → digest, then checks the record's root list against the
+// request. The server validates the same way before it persists a
+// Save. So a lying peer or a corrupted frame degrades to a miss (the
+// caller builds cold), never to a wrong closure. A v3 record is
+// machine-local, which the protocol already requires: a foreign-endian
+// peer is refused at hello.
 //
 // Protocol (net/frame.h kStore* frames, one request in flight per
 // connection): hello carries the protocol version, the byte-order
 // mark, and the schema fingerprint; a mismatch in any is refused with
-// a message. Then Find(roots) -> Found(bytes) | Miss | Fail,
-// Save(bytes) -> SaveAck, Stats -> StatsReply. The client reconnects
+// a message. Then Find(roots) -> Found(record) | Miss | Fail,
+// Save(record) -> SaveAck, Stats -> StatsReply. The client reconnects
 // (bounded) after an I/O failure and fails an operation only when the
 // retry also fails; a hello *refusal* is cached and fails fast — a
 // fingerprint mismatch will not fix itself mid-audit.

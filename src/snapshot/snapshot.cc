@@ -55,32 +55,39 @@ std::string_view InternRuleLabel(std::string_view label) {
 
 uint64_t SchemaFingerprint(const schema::Schema& schema,
                            const core::ClosureOptions& options) {
-  uint64_t hash = Fnv1a64("oodbsec-snapshot-schema");
   // Every field is hashed with a separator so concatenations can't
   // collide ("ab"+"c" vs "a"+"bc").
-  auto mix = [&hash](std::string_view piece) {
-    hash = Fnv1a64(piece, hash);
-    hash = Fnv1a64(std::string_view("\x1f", 1), hash);
+  auto mix = [](uint64_t* hash, std::string_view piece) {
+    *hash = Fnv1a64(piece, *hash);
+    *hash = Fnv1a64(std::string_view("\x1f", 1), *hash);
   };
-  for (const auto& cls : schema.classes()) {
-    mix("class");
-    mix(cls->name());
-    for (const schema::AttributeDef& attr : cls->attributes()) {
-      mix(attr.name);
-      mix(attr.type->ToString());
+  // FNV-1a is a stream hash, so the state after the schema fields is
+  // all the option bits need: it is computed once per Schema (printing
+  // every function body is the expensive part) and the options are
+  // mixed in per call. The value equals hashing the whole stream.
+  uint64_t hash = schema.MemoizedDigest([&schema, &mix] {
+    uint64_t state = Fnv1a64("oodbsec-snapshot-schema");
+    for (const auto& cls : schema.classes()) {
+      mix(&state, "class");
+      mix(&state, cls->name());
+      for (const schema::AttributeDef& attr : cls->attributes()) {
+        mix(&state, attr.name);
+        mix(&state, attr.type->ToString());
+      }
     }
-  }
-  for (const auto& fn : schema.functions()) {
-    mix("function");
-    mix(fn->SignatureToString());
-    mix(lang::PrintExpr(fn->body()));
-  }
-  for (const schema::FunctionDecl* constraint : schema.constraints()) {
-    mix("constraint");
-    mix(constraint->name());
-  }
-  mix("options");
-  mix(OptionBits(options));
+    for (const auto& fn : schema.functions()) {
+      mix(&state, "function");
+      mix(&state, fn->SignatureToString());
+      mix(&state, lang::PrintExpr(fn->body()));
+    }
+    for (const schema::FunctionDecl* constraint : schema.constraints()) {
+      mix(&state, "constraint");
+      mix(&state, constraint->name());
+    }
+    return state;
+  });
+  mix(&hash, "options");
+  mix(&hash, OptionBits(options));
   return hash;
 }
 

@@ -19,8 +19,12 @@
 // multi-byte integer, including the header's fingerprint and checksum,
 // is byte-swapped on read). A marker that matches neither the native
 // nor the swapped spelling means corruption and is refused with a
-// specific diagnosis. This is what lets a heterogeneous fleet share a
-// networked snapshot tier (see ROADMAP).
+// specific diagnosis, so a directory of snapshots can be carried to a
+// machine of the other byte order.
+//
+// This v2 codec serves only the directory tier (DirectoryStore). Packs
+// and the remote-store wire use the v3 packed record instead
+// (packed_store.h: EncodePackedRecord / DecodePackedRecord).
 //
 //   header   "OODBSNAP" | format version u32 | byte-order marker u32
 //            | schema fingerprint u64 | payload checksum u64 (FNV-1a)
@@ -97,7 +101,9 @@ std::string_view InternRuleLabel(std::string_view label);
 // closure besides the root list: every class (name, attributes, types),
 // every function (signature + printed body), the constraint list, and
 // the ClosureOptions bits. Two processes over the same workspace text
-// compute the same fingerprint; any semantic edit changes it.
+// compute the same fingerprint; any semantic edit changes it. The
+// schema part is hashed once per Schema (Schema::MemoizedDigest) and
+// each call mixes in only the option bits; thread-safe.
 uint64_t SchemaFingerprint(const schema::Schema& schema,
                            const core::ClosureOptions& options);
 
@@ -110,18 +116,15 @@ std::string SnapshotFileName(const core::ClosureOptions& options,
 
 // Serializes `entry` (roots + digest + derivation log) into the full
 // snapshot byte string — header and checksummed payload, exactly the
-// bytes SaveSnapshot writes to disk. The byte-level half of the codec,
-// shared by the file tier and the networked snapshot tier (a remote
-// store ships these bytes over a frame; the record's own byte-order
-// marker keeps it decodable on a foreign-endian peer). Empty string
-// when the entry has no closure.
+// bytes SaveSnapshot writes to disk. The byte-level half of the
+// directory tier's codec. Empty string when the entry has no closure.
 std::string EncodeSnapshot(const schema::Schema& schema,
                            const core::ClosureOptions& options,
                            const core::CachedAnalysis& entry);
 
 // Validates, re-unfolds, and replays snapshot bytes (the inverse of
 // EncodeSnapshot; the decode half of LoadSnapshot). `name` labels
-// diagnostics — a path for file loads, an endpoint for remote loads.
+// diagnostics (a path for file loads).
 // Same error contract as LoadSnapshot, minus the file read.
 common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeSnapshot(
     const schema::Schema& schema, const core::ClosureOptions& options,

@@ -9,6 +9,7 @@
 
 #include "common/strings.h"
 #include "snapshot/binio.h"
+#include "snapshot/packed_store.h"
 #include "snapshot/snapshot.h"
 
 namespace oodbsec::snapshot {
@@ -193,6 +194,14 @@ class DirectoryStore final : public SnapshotStore {
 };
 
 }  // namespace
+
+common::Result<std::string> SnapshotStore::FindRecord(
+    const schema::Schema& schema, const core::ClosureOptions& options,
+    const std::vector<std::string>& roots) {
+  OODBSEC_ASSIGN_OR_RETURN(std::shared_ptr<const core::CachedAnalysis> entry,
+                           Find(schema, options, roots));
+  return EncodePackedRecord(schema, options, *entry);
+}
 
 std::shared_ptr<SnapshotStore> OpenDirectoryStore(std::string dir) {
   return std::make_shared<DirectoryStore>(std::move(dir));

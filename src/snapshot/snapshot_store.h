@@ -81,6 +81,18 @@ class SnapshotStore {
       const std::vector<std::string>& roots,
       obs::Observability* obs = nullptr) = 0;
 
+  // Probes like Find but returns the stored record as v3 packed-record
+  // bytes (packed_store.h) instead of a replayed closure: what a
+  // StoreServer ships to remote workers, which validate and replay it
+  // with DecodePackedRecord. Same kNotFound / kFailedPrecondition
+  // contract as Find, but a record can be returned without having been
+  // validated, so the caller must decode it and compare its root list
+  // against `roots`. The default runs Find and encodes the entry;
+  // PackedStore returns the mapped bytes without replaying them.
+  virtual common::Result<std::string> FindRecord(
+      const schema::Schema& schema, const core::ClosureOptions& options,
+      const std::vector<std::string>& roots);
+
   // Persists `entry` (built under (schema, options)) durably and
   // atomically; concurrent savers of the same signature race benignly.
   virtual common::Status Save(const schema::Schema& schema,

@@ -2,6 +2,9 @@
 // main suites don't reach.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/analyzer.h"
 #include "core/closure.h"
 #include "exec/evaluator.h"
@@ -130,15 +133,70 @@ TEST(EdgeCases, SequentialLetBindingsSeeEarlierOnes) {
 }
 
 TEST(EdgeCases, IntegerOverflowWrapsSilently) {
-  // Documented behavior: int64 arithmetic, no checks (the analysis
-  // layer treats domains abstractly anyway).
+  // Documented behavior: int64 arithmetic wraps (two's complement,
+  // computed through uint64_t so it is defined), no checks (the
+  // analysis layer treats domains abstractly anyway).
   schema::SchemaBuilder builder;
   builder.AddFunction("big", {{"x", "int"}}, "int", "x * x");
   auto schema = std::move(builder).Build();
   ASSERT_TRUE(schema.ok());
   store::Database db(*schema.value());
   exec::Evaluator evaluator(db);
-  EXPECT_TRUE(evaluator.CallByName("big", {Value::Int(1LL << 40)}).ok());
+  auto squared = evaluator.CallByName("big", {Value::Int(1LL << 40)});
+  ASSERT_TRUE(squared.ok());
+  EXPECT_EQ(squared.value().int_value(), 0);  // 2^80 mod 2^64
+}
+
+TEST(EdgeCases, IntegerMinDividedByMinusOneWraps) {
+  // INT64_MIN / -1 overflows; the hardware traps on it (SIGFPE). Like
+  // the zero-divisor rule, the basic functions define it instead:
+  // the quotient wraps to INT64_MIN and the remainder is 0. The other
+  // overflowing operations wrap the same way.
+  schema::SchemaBuilder builder;
+  builder.AddFunction("quot", {{"x", "int"}, {"y", "int"}}, "int", "x / y");
+  builder.AddFunction("rem", {{"x", "int"}, {"y", "int"}}, "int", "x % y");
+  builder.AddFunction("sum", {{"x", "int"}, {"y", "int"}}, "int", "x + y");
+  builder.AddFunction("diff", {{"x", "int"}, {"y", "int"}}, "int", "x - y");
+  auto schema = std::move(builder).Build();
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  store::Database db(*schema.value());
+  exec::Evaluator evaluator(db);
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  auto call = [&](const char* fn, int64_t x, int64_t y) {
+    auto result = evaluator.CallByName(fn, {Value::Int(x), Value::Int(y)});
+    EXPECT_TRUE(result.ok()) << fn << ": " << result.status();
+    return result.ok() ? result.value().int_value() : -12345;
+  };
+  EXPECT_EQ(call("quot", min, -1), min);
+  EXPECT_EQ(call("rem", min, -1), 0);
+  EXPECT_EQ(call("quot", min, 0), 0);
+  EXPECT_EQ(call("rem", min, 0), 0);
+  EXPECT_EQ(call("quot", 7, -1), -7);
+  EXPECT_EQ(call("rem", -7, -1), 0);
+  EXPECT_EQ(call("quot", -7, 2), -3);
+  EXPECT_EQ(call("rem", -7, 2), -1);
+  EXPECT_EQ(call("sum", max, 1), min);
+  EXPECT_EQ(call("diff", min, 1), max);
+}
+
+TEST(EdgeCases, NegAndAbsOfIntegerMinWrap) {
+  schema::SchemaBuilder builder;
+  builder.AddFunction("negate", {{"x", "int"}}, "int", "neg(x)");
+  builder.AddFunction("magnitude", {{"x", "int"}}, "int", "abs(x)");
+  auto schema = std::move(builder).Build();
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  store::Database db(*schema.value());
+  exec::Evaluator evaluator(db);
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  for (const char* fn : {"negate", "magnitude"}) {
+    auto result = evaluator.CallByName(fn, {Value::Int(min)});
+    ASSERT_TRUE(result.ok()) << fn << ": " << result.status();
+    EXPECT_EQ(result.value().int_value(), min) << fn;
+  }
+  auto five = evaluator.CallByName("magnitude", {Value::Int(-5)});
+  ASSERT_TRUE(five.ok());
+  EXPECT_EQ(five.value().int_value(), 5);
 }
 
 // --- Query engine boundaries ---

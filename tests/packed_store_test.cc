@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -486,6 +487,69 @@ TEST_F(PackedStoreTest, PageCacheLruAccounting) {
   EXPECT_EQ(stats.page_cache_misses, 3u);
   EXPECT_EQ(stats.page_cache_evictions, 2u);
   EXPECT_EQ(stats.finds, 4u);
+}
+
+TEST_F(PackedStoreTest, FindRecordShipsTheStoredRecordVerbatim) {
+  auto store = Open();
+  ASSERT_NE(store, nullptr);
+  auto built = BuildAndSave(*schema_, options_, store, kFullRoots);
+  ASSERT_NE(built, nullptr);
+
+  // The mapped bytes are the record Save wrote, unreplayed: the find
+  // is counted, the page cache sees no traffic.
+  const snapshot::StoreStats before = store->Stats();
+  auto record = store->FindRecord(*schema_, options_, kFullRoots);
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_EQ(record.value(),
+            snapshot::EncodePackedRecord(*schema_, options_, *built));
+  const snapshot::StoreStats after = store->Stats();
+  EXPECT_EQ(after.finds, before.finds + 1);
+  EXPECT_EQ(after.page_cache_hits, before.page_cache_hits);
+  EXPECT_EQ(after.page_cache_misses, before.page_cache_misses);
+  EXPECT_EQ(store->FindRecord(*schema_, options_, kSmallRoots)
+                .status()
+                .code(),
+            common::StatusCode::kNotFound);
+
+  // The receiver's decode replays to the saved log.
+  auto decoded = snapshot::DecodePackedRecord(*schema_, options_,
+                                              record.value(), "test");
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded.value()->roots, kFullRoots);
+  ExpectIdenticalLogs(*built->closure, *decoded.value()->closure);
+
+  // The default FindRecord (Find, then encode) over a directory store
+  // yields the same bytes.
+  auto directory = snapshot::OpenDirectoryStore(common::StrCat(dir_, "/d"));
+  ASSERT_NE(BuildAndSave(*schema_, options_, directory, kFullRoots), nullptr);
+  auto from_dir = directory->FindRecord(*schema_, options_, kFullRoots);
+  ASSERT_TRUE(from_dir.ok()) << from_dir.status();
+  EXPECT_EQ(from_dir.value(), record.value());
+
+  // A stale generation is refused before any bytes are shipped.
+  auto drifted = DriftedBrokerSchema();
+  EXPECT_EQ(store->FindRecord(*drifted, options_, kFullRoots).status().code(),
+            common::StatusCode::kFailedPrecondition);
+}
+
+TEST_F(PackedStoreTest, MisalignedRecordBufferIsRefused) {
+  auto store = Open();
+  ASSERT_NE(store, nullptr);
+  auto built = BuildAndSave(*schema_, options_, store, kFullRoots);
+  ASSERT_NE(built, nullptr);
+  std::string record =
+      snapshot::EncodePackedRecord(*schema_, options_, *built);
+  // The step array is aliased in place, so the record must start
+  // aligned; shifted by one byte it is refused, never read unaligned.
+  std::vector<uint64_t> storage(record.size() / 8 + 2);
+  char* shifted = reinterpret_cast<char*>(storage.data()) + 1;
+  std::memcpy(shifted, record.data(), record.size());
+  auto refused = snapshot::DecodePackedRecord(
+      *schema_, options_, std::string_view(shifted, record.size()), "test");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), common::StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("misaligned"), std::string::npos)
+      << refused.status();
 }
 
 TEST_F(PackedStoreTest, SharedStoreIsSharedThroughTheSessionOptions) {
