@@ -22,14 +22,11 @@
 //                              <port> until the process is killed
 //   fixpoint [threads]         parallel closure fixpoint (0 = auto,
 //                              1 = sequential; prints current if omitted)
-//   snapshot dir <path>        arm the tier over a snapshot directory
-//   snapshot pack <path>       arm it over a packed segment file
+//   snapshot pack <path>       arm the tier over a packed segment file
 //   snapshot save              persist cached closures to the store
 //   snapshot load              warm the cache from the store
 //   snapshot stats             store utilisation (live vs stale bytes)
 //   snapshot compact           sweep stale generations from the store
-//   snapshot migrate <dir> <packfile>
-//                              fold a snapshot directory into a pack
 //   explain <n>                derivation for requirement n's first flaw
 //   trace on|off               arm / disarm the session tracer
 //   trace dump [file]          render spans + metrics (file: JSON lines)
@@ -135,9 +132,8 @@ class Shell {
       std::string subcommand;
       in >> subcommand;
       std::string path;
-      std::string second;
-      in >> path >> second;  // migrate takes two operands; rest take <= 1
-      Snapshot(subcommand, path, second);
+      in >> path;
+      Snapshot(subcommand, path);
     } else if (command == "explain") {
       size_t index = 0;
       in >> index;
@@ -190,15 +186,12 @@ class Shell {
         "                                  1 = sequential; prints current"
         " when\n"
         "                                  omitted)\n"
-        "  snapshot dir <path>             arm the tier over a snapshot"
-        " directory\n"
-        "  snapshot pack <path>            arm it over a packed segment"
-        " file\n"
+        "  snapshot pack <path>            arm the tier over a packed"
+        " segment file\n"
         "  snapshot save                   persist cached closures\n"
         "  snapshot load                   warm the cache from the store\n"
         "  snapshot stats                  store utilisation\n"
         "  snapshot compact                sweep stale generations\n"
-        "  snapshot migrate <dir> <pack>   fold a directory into a pack\n"
         "  dump                            re-render the workspace file\n"
         "  explain <n>                     derivation for requirement n\n"
         "  trace on|off                    arm / disarm the session tracer\n"
@@ -509,16 +502,7 @@ class Shell {
                 store_->Stats().description.c_str());
   }
 
-  void Snapshot(const std::string& subcommand, const std::string& path,
-                const std::string& second) {
-    if (subcommand == "dir") {
-      if (path.empty()) {
-        std::printf("usage: snapshot dir <path>\n");
-        return;
-      }
-      ArmStore(snapshot::OpenDirectoryStore(path));
-      return;
-    }
+  void Snapshot(const std::string& subcommand, const std::string& path) {
     if (subcommand == "pack") {
       if (path.empty()) {
         std::printf("usage: snapshot pack <path>\n");
@@ -532,36 +516,15 @@ class Shell {
       ArmStore(std::move(store).value());
       return;
     }
-    if (subcommand == "migrate") {
-      if (path.empty() || second.empty()) {
-        std::printf("usage: snapshot migrate <dir> <packfile>\n");
-        return;
-      }
-      auto migrated = snapshot::MigrateDirectoryToPack(
-          *workspace_.schema, session_->closure_options(), path, second,
-          &session_->obs());
-      if (!migrated.ok()) {
-        std::printf("error: %s\n", migrated.status().ToString().c_str());
-        return;
-      }
-      std::printf(
-          "migrated %zu snapshot(s) from %s into %s (%zu invalid"
-          " skipped; every entry digest-verified)\n",
-          migrated.value().migrated, path.c_str(), second.c_str(),
-          migrated.value().invalid);
-      return;
-    }
     if (subcommand != "save" && subcommand != "load" &&
         subcommand != "stats" && subcommand != "compact") {
       std::printf(
-          "usage: snapshot dir <path> | pack <path> | save | load |"
-          " stats | compact | migrate <dir> <packfile>\n");
+          "usage: snapshot pack <path> | save | load | stats |"
+          " compact\n");
       return;
     }
     if (store_ == nullptr) {
-      std::printf(
-          "no snapshot store ('snapshot dir <path>' or"
-          " 'snapshot pack <path>' first)\n");
+      std::printf("no snapshot store ('snapshot pack <path>' first)\n");
       return;
     }
     if (subcommand == "stats") {
@@ -659,9 +622,7 @@ class Shell {
       return;
     }
     if (store_ == nullptr) {
-      std::printf(
-          "no snapshot store ('snapshot dir <path>' or"
-          " 'snapshot pack <path>' first)\n");
+      std::printf("no snapshot store ('snapshot pack <path>' first)\n");
       return;
     }
     if (subcommand == "save") {
@@ -754,7 +715,7 @@ class Shell {
   }
 
   text::Workspace workspace_;
-  // unique_ptr: `snapshot dir` rebuilds the session with the tier armed.
+  // unique_ptr: `snapshot pack` rebuilds the session with the tier armed.
   std::unique_ptr<core::AnalysisSession> session_;
   // Lazily built on the first `batch`, kept so the closure cache (and
   // the session's metrics, which it feeds) survive across commands.
@@ -762,7 +723,7 @@ class Shell {
   // unique_ptr: ArmStore rebuilds the guard sharing the armed store.
   std::unique_ptr<dynamic::SessionGuard> guard_;
   std::vector<core::AnalysisReport> last_reports_;
-  // Null until `snapshot dir`/`snapshot pack` arms the persistent tier.
+  // Null until `snapshot pack` arms the persistent tier.
   std::shared_ptr<snapshot::SnapshotStore> store_;
 };
 

@@ -16,11 +16,6 @@ AnalysisSession::AnalysisSession(const schema::Schema& schema,
       obs_(std::make_unique<obs::Observability>()) {
   if (options_.threads < 1) options_.threads = 1;
   obs_->tracer.set_enabled(options_.tracing);
-  // Resolve the deprecated directory shim once; layers that borrow this
-  // session (the service's cache) read the resolved store back out of
-  // options() and share it — one page cache, one set of counters.
-  options_.snapshot_store = snapshot::ResolveStore(
-      std::move(options_.snapshot_store), options_.snapshot_dir);
   recheck_cache_ = std::make_unique<ClosureCache>(
       schema_, options_.closure, options_.cache_capacity, obs_.get(),
       options_.snapshot_store);

@@ -57,16 +57,11 @@ struct SessionOptions {
   // RecheckRequirements (and the service layer, which reads this as its
   // cache bound too).
   size_t cache_capacity = ClosureCache::kDefaultCapacity;
-  // Deprecated shim: a non-empty directory constructs a
-  // snapshot::DirectoryStore for the L2 tier when `snapshot_store` is
-  // null. New call sites should open a store and set the field below.
-  std::string snapshot_dir;
   // The persistent closure-snapshot tier (L2) behind every cache this
   // session's options configure — the session's recheck cache and the
-  // service layer's cache alike (the session resolves `snapshot_dir`
-  // into this field at construction, so borrowing layers share one
-  // store and its page cache). Several sessions and processes may share
-  // one store (see snapshot/snapshot_store.h).
+  // service layer's cache alike (borrowing layers read it back out of
+  // options() and share one store and its page cache). Several sessions
+  // and processes may share one store (see snapshot/snapshot_store.h).
   std::shared_ptr<snapshot::SnapshotStore> snapshot_store;
 };
 

@@ -173,18 +173,6 @@ struct DerivationStep {
 // without allocating (std::span can't bind one until C++26).
 using Premises = std::span<const FactId>;
 
-// A complete derivation log lifted out of some earlier closure — the
-// payload of a persisted snapshot (src/snapshot). Ids are in the id
-// space of the unfold the log was computed over; replaying it into a
-// new Closure requires an UnfoldedSet built over the *same* root list
-// (unfolding is deterministic, so the id spaces coincide). Rule
-// string_views must outlive every closure replayed from the log — the
-// snapshot loader guarantees this by interning them process-wide.
-struct ReplayLog {
-  std::vector<DerivationStep> steps;
-  std::vector<FactId> premise_arena;
-};
-
 // One derivation step in the packed snapshot layout (src/snapshot
 // packed_store): a fixed-width, trivially-copyable image of
 // DerivationStep with the rule string replaced by an index into a
@@ -206,13 +194,17 @@ struct PackedStep {
 static_assert(sizeof(PackedStep) == 28);
 static_assert(std::is_trivially_copyable_v<PackedStep>);
 
-// A derivation log borrowed straight from a mapped packed record: steps
+// A complete derivation log lifted out of some earlier closure and
+// borrowed straight from a mapped packed record (src/snapshot): steps
 // and premise arena alias the mapping, `rules` is the record's label
-// table resolved to interned (process-lifetime) string_views. Replaying
-// copies everything into the closure's own tables, so the view — and
-// the mapping behind it — only needs to outlive the constructor call.
-// The caller must pre-validate ids and premise references, exactly as
-// with ReplayLog.
+// table resolved to interned (process-lifetime) string_views. Ids are
+// in the id space of the unfold the log was computed over; replaying
+// it into a new Closure requires an UnfoldedSet built over the *same*
+// root list (unfolding is deterministic, so the id spaces coincide).
+// Replaying copies everything into the closure's own tables, so the
+// view — and the mapping behind it — only needs to outlive the
+// constructor call. The caller must pre-validate ids and premise
+// references (the snapshot decoder does).
 struct ReplayView {
   std::span<const PackedStep> steps;
   std::span<const FactId> premise_arena;
@@ -291,22 +283,15 @@ class Closure {
                    obs::Observability* obs = nullptr,
                    const Closure* warm_base = nullptr);
 
-  // Snapshot warm start: replays `log` — the complete derivation log of
-  // a finished closure over the same root list (see ReplayLog) — and
-  // then runs Seed() + the fixpoint, which merely dedup against the
+  // Snapshot warm start: replays `view` — the complete derivation log
+  // of a finished closure over the same root list (see ReplayView) —
+  // and then runs Seed() + the fixpoint, which merely dedup against the
   // replayed tables when the log is complete. The result is
   // byte-identical to the closure the log was saved from (same steps,
   // same premises, same derivation text) at replay cost instead of
   // fixpoint cost. The caller must pre-validate the log (ids in range,
-  // premises acyclic) — the snapshot loader does; out-of-range ids here
+  // premises acyclic) — the snapshot decoder does; out-of-range ids here
   // are undefined behaviour. Counts as warm_started().
-  Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
-          obs::Observability* obs, const ReplayLog& log);
-
-  // Same contract as the ReplayLog constructor, but reading the packed
-  // in-place layout (see ReplayView): steps and premises are consumed
-  // directly from the caller's mapping without materializing an
-  // intermediate ReplayLog.
   Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
           obs::Observability* obs, const ReplayView& view);
 
@@ -592,12 +577,11 @@ class Closure {
   // (ids translated) and applied to the tables, but never enqueued —
   // Seed() + Run() then derive only the delta on top.
   void ReplayBase(const Closure& base, const std::vector<int>& old_to_new);
-  // The shared replay core: appends every step of (steps, arena) to this
-  // closure's log and applies its table effect, translating ids through
-  // `old_to_new` when given (nullptr = identity, the snapshot path).
+  // Appends every step of (steps, arena) to this closure's log and
+  // applies its table effect, translating ids through `old_to_new`.
   void ReplaySteps(std::span<const DerivationStep> steps,
                    std::span<const FactId> arena,
-                   const std::vector<int>* old_to_new);
+                   const std::vector<int>& old_to_new);
   // ReplaySteps for the packed layout: identical table effects, reading
   // (step, premises, rule label) straight out of the view.
   void ReplayPackedSteps(const ReplayView& view);

@@ -19,12 +19,6 @@ ClosureCache::ClosureCache(const schema::Schema& schema,
       obs_(obs),
       store_(std::move(store)) {}
 
-ClosureCache::ClosureCache(const schema::Schema& schema,
-                           ClosureOptions options, size_t capacity,
-                           obs::Observability* obs, std::string snapshot_dir)
-    : ClosureCache(schema, options, capacity, obs,
-                   snapshot::ResolveStore(nullptr, snapshot_dir)) {}
-
 std::string ClosureCache::KeyFor(const std::vector<std::string>& roots) {
   std::string key;
   for (const std::string& root : roots) {

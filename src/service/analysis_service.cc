@@ -19,9 +19,8 @@ AnalysisService::AnalysisService(core::AnalysisSession& session,
     : session_(&session),
       pool_(threads_override > 0 ? threads_override : session.options().threads,
             &session.obs()),
-      // The session resolved snapshot_dir into snapshot_store at its
-      // construction; reading the resolved field shares one store (and
-      // its page cache) between the session's cache and this one.
+      // Reading the session's store shares it (and its page cache)
+      // between the session's cache and this one.
       cache_(session.schema(), session.closure_options(),
              session.options().cache_capacity, &session.obs(),
              session.options().snapshot_store),
@@ -46,7 +45,6 @@ AnalysisService::AnalysisService(const schema::Schema& schema,
           core::SessionOptions{.closure = options.closure,
                                .threads = options.threads,
                                .cache_capacity = options.cache_capacity,
-                               .snapshot_dir = options.snapshot_dir,
                                .snapshot_store = options.snapshot_store})),
       session_(owned_session_.get()),
       pool_(session_->options().threads, &session_->obs()),

@@ -82,9 +82,6 @@ struct ServiceOptions {
   core::ClosureOptions closure;
   // LRU bound on cached closures (see core::ClosureCache).
   size_t cache_capacity = core::ClosureCache::kDefaultCapacity;
-  // Deprecated shim: a non-empty directory opens a DirectoryStore when
-  // `snapshot_store` is null (see core::SessionOptions).
-  std::string snapshot_dir;
   // Persistent L2 tier behind the closure cache (see
   // snapshot/snapshot_store.h); forwarded into the private session's
   // SessionOptions.

@@ -135,11 +135,10 @@ common::Result<ShardedBatchResult> RunShardedBatch(
   obs::Tracer* tracer = obs != nullptr ? &obs->tracer : nullptr;
   obs::ScopedSpan batch_span(tracer, "shard.batch");
 
-  // One shared base store across the fleet (the deprecated snapshot_dir
-  // shim resolves here); each child forks a worker view of it so
-  // sibling writers never contend on one segment.
-  std::shared_ptr<snapshot::SnapshotStore> base_store =
-      snapshot::ResolveStore(options.snapshot_store, options.snapshot_dir);
+  // One shared base store across the fleet; each child forks a worker
+  // view of it so sibling writers never contend on one segment.
+  const std::shared_ptr<snapshot::SnapshotStore>& base_store =
+      options.snapshot_store;
 
   // Route every requirement: signature -> shard. Unknown users cannot
   // be signed; they become failure candidates at their input position,

@@ -68,12 +68,9 @@ struct ShardOptions {
   // (reports stay byte-identical; it is not part of any cache key).
   core::ClosureOptions closure;
   size_t cache_capacity = core::ClosureCache::kDefaultCapacity;
-  // Deprecated shim: a non-empty directory opens a DirectoryStore when
-  // `snapshot_store` is null.
-  std::string snapshot_dir;
   // Workers persist every closure they built to the snapshot store
-  // before exiting (atomic directory writes race benignly; packed
-  // workers append to private side segments, merged after the drain).
+  // before exiting (packed workers append to private side segments,
+  // merged after the drain; remote workers save over the wire).
   bool save_snapshots = false;
   // Shared snapshot store every worker mounts (via ForkWorker) as its
   // L2 closure tier (see snapshot/snapshot_store.h).

@@ -1,18 +1,16 @@
 // Little byte-buffer codec for the snapshot tier and the shard wire
 // protocol: append-only writer, bounds-checked reader.
 //
-// The format is deliberately dumb — fixed-width little-endian integers
+// The format is deliberately dumb — fixed-width host-endian integers
 // and length-prefixed strings, no varints, no alignment tricks — because
-// every consumer is this repository on the same machine (snapshot files
-// are a cache tier, not an interchange format, and the shard pipe
-// connects two processes of one build). What matters is that a
+// every consumer is this repository on machines of one byte order
+// (snapshot records are a cache tier, not an interchange format, and
+// packs, the remote-store wire and the shard wire all refuse a
+// foreign-endian peer by its byte-order marker). What matters is that a
 // truncated or corrupted buffer NEVER crashes the reader: every Get*
 // checks the remaining size first and latches a failure flag, so
 // callers can decode an entire structure optimistically and test ok()
-// once at the end (reads after a failure return zero values). The one
-// concession to interchange is set_byte_swap(): the snapshot loader
-// arms it when a file's byte-order marker reads back reversed, so
-// foreign-endian snapshots decode instead of being refused.
+// once at the end (reads after a failure return zero values).
 #ifndef OODBSEC_SNAPSHOT_BINIO_H_
 #define OODBSEC_SNAPSHOT_BINIO_H_
 
@@ -41,39 +39,26 @@ class ByteWriter {
 
  private:
   void PutFixed(const void* v, size_t n) {
-    // Host byte order: snapshots and shard pipes never cross machines
-    // of different endianness (same-host cache / same-host fork).
+    // Host byte order: a record or peer of the other byte order is
+    // refused by its byte-order marker before anything is decoded.
     buffer_.append(reinterpret_cast<const char*>(v), n);
   }
 
   std::string buffer_;
 };
 
-// Byte-swap helpers for the foreign-endian snapshot reader: a snapshot
-// saved on a machine of the opposite endianness has every multi-byte
-// integer byte-swapped, and nothing else (strings and u8 fields are
-// byte sequences). Swapping on read recovers the writer's values.
-inline constexpr uint16_t Bswap16(uint16_t v) {
-  return static_cast<uint16_t>((v >> 8) | (v << 8));
-}
+// The byte-swapped spelling of a u32: how a byte-order marker written
+// on a machine of the opposite endianness reads back, which is what
+// lets the decoders name a foreign-endian record instead of calling it
+// corrupt.
 inline constexpr uint32_t Bswap32(uint32_t v) {
   return (v >> 24) | ((v >> 8) & 0x0000ff00u) | ((v << 8) & 0x00ff0000u) |
          (v << 24);
-}
-inline constexpr uint64_t Bswap64(uint64_t v) {
-  return (static_cast<uint64_t>(Bswap32(static_cast<uint32_t>(v))) << 32) |
-         Bswap32(static_cast<uint32_t>(v >> 32));
 }
 
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
-
-  // Arms foreign-endian decoding: every subsequent multi-byte integer
-  // (including string length prefixes) is byte-swapped after the read.
-  // The caller decides from the header's byte-order marker.
-  void set_byte_swap(bool swap) { swap_ = swap; }
-  bool byte_swap() const { return swap_; }
 
   uint8_t GetU8() {
     uint8_t v = 0;
@@ -83,20 +68,16 @@ class ByteReader {
   uint32_t GetU32() {
     uint32_t v = 0;
     GetFixed(&v, sizeof v);
-    return swap_ ? Bswap32(v) : v;
+    return v;
   }
   uint64_t GetU64() {
     uint64_t v = 0;
     GetFixed(&v, sizeof v);
-    return swap_ ? Bswap64(v) : v;
+    return v;
   }
   int32_t GetI32() {
     int32_t v = 0;
     GetFixed(&v, sizeof v);
-    if (swap_) {
-      uint32_t u = Bswap32(static_cast<uint32_t>(v));
-      std::memcpy(&v, &u, sizeof v);
-    }
     return v;
   }
   std::string GetString() {
@@ -129,7 +110,6 @@ class ByteReader {
   std::string_view data_;
   size_t pos_ = 0;
   bool failed_ = false;
-  bool swap_ = false;
 };
 
 // FNV-1a 64-bit: the checksum of snapshot payloads, the schema

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -153,9 +154,10 @@ DecodePackedRecord(const schema::Schema& schema,
   uint32_t version = LoadU32(bytes.data() + 8);
   uint32_t marker = LoadU32(bytes.data() + 12);
   if (marker == Bswap32(kByteOrderMark)) {
-    // Unlike directory snapshots, packs alias raw structs out of the
-    // mapping — a foreign-endian record cannot be replayed in place.
-    return PackError(label, "foreign-endian record (packs are machine-local)");
+    // Replay aliases raw structs out of the record — a foreign-endian
+    // record cannot be replayed in place.
+    return PackError(label,
+                     "foreign-endian record (records are machine-local)");
   }
   if (marker != kByteOrderMark) {
     return PackError(label, "corrupt byte-order marker");
@@ -428,7 +430,7 @@ class PackedStore final : public SnapshotStore,
     if (marker == Bswap32(kByteOrderMark)) {
       return PackError(path_,
                        "foreign-endian pack (packs are machine-local; "
-                       "regenerate or migrate on this machine)");
+                       "regenerate it on this machine)");
     }
     if (marker != kByteOrderMark) {
       return PackError(path_, "corrupt byte-order marker");
@@ -733,7 +735,7 @@ class PackedStore final : public SnapshotStore,
     std::filesystem::path dir = self.parent_path();
     if (dir.empty()) dir = ".";
     std::string prefix = self.filename().string() + ".worker.";
-    std::vector<std::pair<long, std::string>> sides;
+    std::vector<std::pair<unsigned, std::string>> sides;
     std::error_code ec;
     for (const auto& dirent : std::filesystem::directory_iterator(dir, ec)) {
       std::string name = dirent.path().filename().string();
@@ -741,11 +743,16 @@ class PackedStore final : public SnapshotStore,
           name.compare(0, prefix.size(), prefix) != 0) {
         continue;
       }
-      std::string suffix = name.substr(prefix.size());
-      if (suffix.find_first_not_of("0123456789") != std::string::npos) {
-        continue;  // tmp files and other debris
+      // A worker id, digits only: tmp files and ids that overflow are
+      // debris (ForkWorker only ever writes a small id).
+      std::string_view suffix = std::string_view(name).substr(prefix.size());
+      unsigned worker_id = 0;
+      auto [end, error] = std::from_chars(
+          suffix.data(), suffix.data() + suffix.size(), worker_id);
+      if (error != std::errc() || end != suffix.data() + suffix.size()) {
+        continue;
       }
-      sides.emplace_back(std::stol(suffix), dirent.path().string());
+      sides.emplace_back(worker_id, dirent.path().string());
     }
     if (sides.empty()) return common::Status::Ok();
     std::sort(sides.begin(), sides.end());  // worker order: deterministic
@@ -1030,35 +1037,6 @@ common::Result<std::shared_ptr<SnapshotStore>> OpenPackedStore(
   common::Status status = store->OpenFile();
   if (!status.ok()) return status;
   return std::shared_ptr<SnapshotStore>(std::move(store));
-}
-
-common::Result<MigrateStats> MigrateDirectoryToPack(
-    const schema::Schema& schema, const core::ClosureOptions& options,
-    const std::string& dir, const std::string& pack_path,
-    obs::Observability* obs) {
-  std::shared_ptr<SnapshotStore> source = OpenDirectoryStore(dir);
-  OODBSEC_ASSIGN_OR_RETURN(std::shared_ptr<SnapshotStore> pack,
-                           OpenPackedStore(pack_path));
-  MigrateStats stats;
-  std::vector<std::shared_ptr<const core::CachedAnalysis>> entries =
-      source->LoadAll(schema, options, /*limit=*/SIZE_MAX, &stats.invalid,
-                      obs);
-  for (const auto& entry : entries) {
-    common::Status status = pack->Save(schema, options, *entry);
-    if (!status.ok()) return status;
-    // Read the migrated record back and hold it to the directory copy:
-    // digest equality per entry, or the migration fails.
-    auto back = pack->Find(schema, options, entry->roots, obs);
-    if (!back.ok()) return back.status();
-    if (back.value()->closure->FactSetDigest() !=
-        entry->closure->FactSetDigest()) {
-      return common::InternalError(
-          common::StrCat("pack ", pack_path,
-                         ": migrated record digest diverges from ", dir));
-    }
-    ++stats.migrated;
-  }
-  return stats;
 }
 
 }  // namespace oodbsec::snapshot

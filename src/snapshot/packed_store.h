@@ -1,19 +1,16 @@
-// PackedStore: the single-file snapshot storage engine (the production
+// PackedStore: the single-file snapshot storage engine (the local
 // SnapshotStore).
 //
-// The directory tier (one file per capability signature) pays a file
-// open per probe, scatters the cache across thousands of inodes at
-// production scale, and never reclaims stale generations. PackedStore
-// keeps every cached closure in ONE segment file with an on-disk index
-// of far pointers (segment offset + length) keyed by the capability
-// signature hash — the same key the directory tier spells as a hex
-// file name — following the page/far-pointer idiom of Tokyo Cabinet's
-// B-tree pager (see ROADMAP).
+// PackedStore keeps every cached closure in ONE segment file with an
+// on-disk index of far pointers (segment offset + length) keyed by the
+// capability signature hash (SnapshotKeyHash), following the
+// page/far-pointer idiom of Tokyo Cabinet's B-tree pager (see ROADMAP):
+// a probe costs an index lookup, not a file open, and retention sweeps
+// reclaim stale generations.
 //
 // File layout (all integers host-endian; a pack never crosses machines
 // of different endianness — the mmap replay path aliases raw structs,
-// so unlike directory snapshots a foreign pack is refused, not
-// swapped):
+// so a foreign pack is refused):
 //
 //   header   "OODBPACK" | pack version u32 | byte-order marker u32
 //            | reserved u64 x2                               (32 bytes)
@@ -26,10 +23,10 @@
 //              index offset u64 | entry count u64
 //              | index checksum u64 (FNV-1a) | "OODBPIDX"    (32 bytes)
 //
-// Each entry is a format-v3 snapshot record: the v2 per-entry header
-// ("OODBSNAP" | version 3 | byte-order marker | schema fingerprint |
-// FNV-1a payload checksum) followed by a payload laid out for in-place
-// replay:
+// Each entry is a v3 snapshot record: the 32-byte record header of
+// snapshot.h ("OODBSNAP" | version 3 | byte-order marker | schema
+// fingerprint | FNV-1a payload checksum) followed by a payload laid out
+// for in-place replay:
 //
 //   roots (count + strings) | fact-set digest | rule-label table
 //   | step count u32 | arena count u32 | steps offset u32
@@ -37,14 +34,13 @@
 //
 // The step array and premise arena are aliased straight out of the
 // mmap'd segment (core::ReplayView) — replay reads facts in place, no
-// intermediate buffers. The fail-safe invalidation ladder is the same
-// as the directory tier's: magic/version → byte order → fingerprint →
-// checksum → structural validation → digest equality.
+// intermediate buffers. The fail-safe invalidation ladder is the one in
+// snapshot.h: magic/version → byte order → fingerprint → checksum →
+// structural validation → digest equality.
 //
 // The v3 record is also the remote-store wire format (remote_store.h):
 // FindRecord ships a record's bytes verbatim and the worker runs the
-// ladder above with DecodePackedRecord. The v2 codec in snapshot.h
-// serves only the directory tier.
+// ladder above with DecodePackedRecord.
 //
 // Durability: appends go record-first, footer-second, so a torn write
 // loses at most the record being appended; Open falls back from an
@@ -86,9 +82,8 @@ namespace oodbsec::snapshot {
 inline constexpr std::string_view kPackMagic = "OODBPACK";
 inline constexpr std::string_view kPackIndexMagic = "OODBPIDX";
 inline constexpr uint32_t kPackVersion = 1;
-// The per-entry format inside packs and on the remote-store wire: v3 =
-// the v2 header over the packed in-place payload. Directory snapshots
-// stay at v2.
+// The one record format, inside packs and on the remote-store wire:
+// the snapshot.h record header over the packed in-place payload.
 inline constexpr uint32_t kPackedEntryVersion = 3;
 
 // Serializes `entry` (built under (schema, options)) into one v3
@@ -121,20 +116,6 @@ DecodePackedRecord(const schema::Schema& schema,
 // (min 1).
 common::Result<std::shared_ptr<SnapshotStore>> OpenPackedStore(
     std::string path, size_t page_cache_capacity = 64);
-
-// One-shot migration: loads every valid snapshot file in `dir` (sorted,
-// invalid files skipped and counted) into the pack at `pack_path`, then
-// reads each entry back and asserts fact-set digest equality against
-// the directory copy. Fails on the first divergence — a failed
-// migration leaves the directory untouched.
-struct MigrateStats {
-  size_t migrated = 0;
-  size_t invalid = 0;
-};
-common::Result<MigrateStats> MigrateDirectoryToPack(
-    const schema::Schema& schema, const core::ClosureOptions& options,
-    const std::string& dir, const std::string& pack_path,
-    obs::Observability* obs = nullptr);
 
 }  // namespace oodbsec::snapshot
 

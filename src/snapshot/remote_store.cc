@@ -50,10 +50,30 @@ class RemoteSnapshotStore : public SnapshotStore {
   RemoteSnapshotStore(std::string host_port, RemoteStoreOptions options)
       : host_port_(std::move(host_port)), options_(options) {}
 
+  // The server shipped the stored record unreplayed: the whole
+  // validation ladder runs here, once, after FindRecord released the
+  // connection lock.
   common::Result<std::shared_ptr<const core::CachedAnalysis>> Find(
       const schema::Schema& schema, const core::ClosureOptions& options,
       const std::vector<std::string>& roots, obs::Observability* obs) override {
-    std::unique_lock<std::mutex> lock(mu_);
+    OODBSEC_ASSIGN_OR_RETURN(std::string record,
+                             FindRecord(schema, options, roots));
+    auto decoded =
+        DecodePackedRecord(schema, options, record,
+                           common::StrCat("remote:", host_port_), obs);
+    if (decoded.ok() && decoded.value()->roots != roots) {
+      return common::NotFoundError(
+          common::StrCat("remote:", host_port_, ": signature collision"));
+    }
+    return decoded;
+  }
+
+  // The kStoreFound payload: the v3 record bytes as the server's store
+  // holds them.
+  common::Result<std::string> FindRecord(
+      const schema::Schema& schema, const core::ClosureOptions& options,
+      const std::vector<std::string>& roots) override {
+    std::lock_guard<std::mutex> lock(mu_);
     ++finds_;
     ByteWriter request;
     request.PutU32(static_cast<uint32_t>(roots.size()));
@@ -62,19 +82,8 @@ class RemoteSnapshotStore : public SnapshotStore {
     OODBSEC_RETURN_IF_ERROR(RoundTrip(schema, options, FrameType::kStoreFind,
                                       request.buffer(), &reply));
     switch (reply.type) {
-      case FrameType::kStoreFound: {
-        // The server shipped the stored record unreplayed: the whole
-        // validation ladder runs here, once, off the connection lock.
-        lock.unlock();
-        auto decoded = DecodePackedRecord(
-            schema, options, reply.payload,
-            common::StrCat("remote:", host_port_), obs);
-        if (decoded.ok() && decoded.value()->roots != roots) {
-          return common::NotFoundError(common::StrCat(
-              "remote:", host_port_, ": signature collision"));
-        }
-        return decoded;
-      }
+      case FrameType::kStoreFound:
+        return std::move(reply.payload);
       case FrameType::kStoreMiss:
         return common::NotFoundError(reply.payload);
       case FrameType::kStoreFail:

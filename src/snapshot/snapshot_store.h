@@ -1,19 +1,17 @@
 // SnapshotStore: the persistence API behind the L2 closure-cache tier.
 //
-// Before this interface every layer (SessionOptions, ServiceOptions,
-// ShardOptions, ClosureCache) plumbed a raw `snapshot_dir` string and
-// the cache composed file paths inline. The store abstracts the four
-// operations the cache actually needs — probe by capability signature,
-// persist an entry, sweep stale generations, report stats — so the
-// same call sites drive either backend:
+// The store abstracts the operations the cache actually needs — probe
+// by capability signature, persist an entry, sweep stale generations,
+// report stats — so the same call sites drive either backend:
 //
-//   * DirectoryStore — one versioned, checksummed file per capability
-//     signature (the PR-4 layout, src/snapshot/snapshot.h). Kept for
-//     migration and debugging: files are individually inspectable and
-//     trivially rsync-able.
 //   * PackedStore — a single packed segment with an on-disk index,
 //     an LRU page cache, and mmap in-place replay
-//     (src/snapshot/packed_store.h). The production default.
+//     (src/snapshot/packed_store.h). The local store.
+//   * RemoteSnapshotStore — a client of a StoreServer fronting a
+//     PackedStore over TCP (src/snapshot/remote_store.h). What remote
+//     audit workers mount.
+//
+// Both speak the one v3 record format (snapshot.h, packed_store.h).
 //
 // A store is shared: one object serves the session's recheck cache,
 // the service's closure cache, and every sharded worker (ForkWorker /
@@ -87,11 +85,10 @@ class SnapshotStore {
   // with DecodePackedRecord. Same kNotFound / kFailedPrecondition
   // contract as Find, but a record can be returned without having been
   // validated, so the caller must decode it and compare its root list
-  // against `roots`. The default runs Find and encodes the entry;
-  // PackedStore returns the mapped bytes without replaying them.
+  // against `roots`.
   virtual common::Result<std::string> FindRecord(
       const schema::Schema& schema, const core::ClosureOptions& options,
-      const std::vector<std::string>& roots);
+      const std::vector<std::string>& roots) = 0;
 
   // Persists `entry` (built under (schema, options)) durably and
   // atomically; concurrent savers of the same signature race benignly.
@@ -125,17 +122,6 @@ class SnapshotStore {
       int worker_id) = 0;
   virtual common::Status MergeWorkers() { return common::Status::Ok(); }
 };
-
-// A store over the one-file-per-signature directory layout. Never
-// fails to open: the directory is created on first Save, and a missing
-// directory reads as empty.
-std::shared_ptr<SnapshotStore> OpenDirectoryStore(std::string dir);
-
-// The migration shim behind the deprecated `snapshot_dir` options
-// fields: `store` when set, else a DirectoryStore over `deprecated_dir`
-// when non-empty, else nullptr (persistence disabled).
-std::shared_ptr<SnapshotStore> ResolveStore(
-    std::shared_ptr<SnapshotStore> store, const std::string& deprecated_dir);
 
 }  // namespace oodbsec::snapshot
 

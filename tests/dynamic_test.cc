@@ -10,10 +10,12 @@
 #include <random>
 #include <thread>
 
+#include "common/strings.h"
 #include "core/closure.h"
 #include "dynamic/session_guard.h"
 #include "query/binder.h"
 #include "query/query_parser.h"
+#include "snapshot/packed_store.h"
 #include "snapshot/snapshot_store.h"
 #include "test_util.h"
 #include "text/workspace.h"
@@ -443,9 +445,11 @@ TEST(SessionGuardTest, ConcurrentDecisionsAreSafe) {
 TEST(SessionGuardTest, SnapshotStoreWarmsRestartedGuard) {
   test_util::ScopedTempDir tmp("oodbsec_guard_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
   GuardOptions options;
-  options.snapshot_store = snapshot::OpenDirectoryStore(dir);
+  auto pack =
+      snapshot::OpenPackedStore(common::StrCat(tmp.path(), "/guard.pack"));
+  ASSERT_TRUE(pack.ok()) << pack.status();
+  options.snapshot_store = std::move(pack).value();
 
   std::string first_digest;
   {

@@ -459,8 +459,10 @@ TEST(TcpShardTest, SnapshotWarmedFleetServesRemoteHits) {
   Fleet fleet = MakeFleet();
   ScopedTempDir tmp("oodbsec_net_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
-  auto store = snapshot::OpenDirectoryStore(dir);
+  auto opened =
+      snapshot::OpenPackedStore(common::StrCat(tmp.path(), "/fleet.pack"));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  std::shared_ptr<snapshot::SnapshotStore> store = std::move(opened).value();
 
   service::AnalysisService single(*fleet.schema, *fleet.users);
   auto single_run = single.CheckBatch(fleet.sheet);
@@ -504,15 +506,17 @@ TEST(TcpShardTest, SnapshotWarmedFleetServesRemoteHits) {
 
 // ---------------------------------------------------------------------------
 // The remote snapshot store on its own: Find/Save/Stats against a
-// StoreServer fronting a directory store.
+// StoreServer fronting a packed store.
 
 TEST(RemoteStoreTest, FindSaveStatsRoundTrip) {
   auto schema = BrokerSchema();
   ClosureOptions options;
   ScopedTempDir tmp("oodbsec_net_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
-  auto backing = snapshot::OpenDirectoryStore(dir);
+  auto opened =
+      snapshot::OpenPackedStore(common::StrCat(tmp.path(), "/cache.pack"));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  std::shared_ptr<snapshot::SnapshotStore> backing = std::move(opened).value();
 
   snapshot::StoreServer server;
   ASSERT_TRUE(server.Start(*schema, options, backing).ok());
@@ -531,9 +535,7 @@ TEST(RemoteStoreTest, FindSaveStatsRoundTrip) {
   EXPECT_FALSE(miss.ok());
   EXPECT_EQ(miss.status().code(), common::StatusCode::kNotFound);
 
-  core::ClosureCache builder(
-      *schema, options, 64, nullptr,
-      std::shared_ptr<snapshot::SnapshotStore>(nullptr));
+  core::ClosureCache builder(*schema, options);
   auto built = builder.GetOrBuild(roots);
   ASSERT_TRUE(built.ok()) << built.status();
 
@@ -546,8 +548,8 @@ TEST(RemoteStoreTest, FindSaveStatsRoundTrip) {
   // to the original build.
   auto remote = client->Find(*schema, options, roots);
   ASSERT_TRUE(remote.ok()) << remote.status();
-  EXPECT_EQ(snapshot::EncodeSnapshot(*schema, options, *remote.value()),
-            snapshot::EncodeSnapshot(*schema, options, *built.value()));
+  EXPECT_EQ(snapshot::EncodePackedRecord(*schema, options, *remote.value()),
+            snapshot::EncodePackedRecord(*schema, options, *built.value()));
 
   auto stats = client->Stats();
   EXPECT_NE(stats.description.find("remote:"), std::string::npos);
@@ -565,8 +567,10 @@ TEST(RemoteStoreTest, FingerprintMismatchRefusedAndCached) {
   ClosureOptions options;
   ScopedTempDir tmp("oodbsec_net_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
-  auto backing = snapshot::OpenDirectoryStore(dir);
+  auto opened =
+      snapshot::OpenPackedStore(common::StrCat(tmp.path(), "/cache.pack"));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  std::shared_ptr<snapshot::SnapshotStore> backing = std::move(opened).value();
 
   snapshot::StoreServer server;
   ASSERT_TRUE(server.Start(*schema, options, backing).ok());
@@ -788,9 +792,7 @@ class RawStorePeerTest : public ::testing::Test {
 };
 
 TEST_F(RawStorePeerTest, TamperedDigestSaveRefusedServerSide) {
-  core::ClosureCache builder(
-      *schema_, options_, 64, nullptr,
-      std::shared_ptr<snapshot::SnapshotStore>(nullptr));
+  core::ClosureCache builder(*schema_, options_);
   auto built = builder.GetOrBuild({"checkBudget", "w_budget"});
   ASSERT_TRUE(built.ok()) << built.status();
 

@@ -3,8 +3,8 @@
 // The roundtrip suite pins the store contract: a closure saved into the
 // pack and found through a freshly opened store (or a fresh *process* —
 // this binary re-execs itself as a worker) replays byte-identical via
-// the mmap'd segment, and the packed, directory, and cold paths all
-// derive one fact-set digest. The recovery suite tears the segment
+// the mmap'd segment to the log a cold build derived. The recovery
+// suite tears the segment
 // (truncated tail, corrupted index) and requires every record that
 // still validates to survive. The retention suite drifts the schema and
 // requires one sweep to reclaim 100% of the stale generation's bytes.
@@ -45,7 +45,6 @@
 #include "snapshot/snapshot.h"
 #include "snapshot/snapshot_store.h"
 #include "test_util.h"
-#include "unfold/unfolded.h"
 
 namespace {
 
@@ -254,31 +253,6 @@ TEST_F(PackedStoreTest, ByteIdenticalReplayAcrossReopen) {
   EXPECT_EQ(invalid, 0u);
 }
 
-TEST_F(PackedStoreTest, PackedDirectoryAndColdDigestsAgree) {
-  // The acceptance triangle: the packed replay, the directory replay,
-  // and a cold build of the same roots must derive one fact set.
-  std::string snap_dir = common::StrCat(dir_, "/snaps");
-  auto directory = snapshot::OpenDirectoryStore(snap_dir);
-  auto packed = Open();
-  ASSERT_NE(packed, nullptr);
-  ASSERT_NE(BuildAndSave(*schema_, options_, directory, kFullRoots), nullptr);
-  ASSERT_NE(BuildAndSave(*schema_, options_, packed, kFullRoots), nullptr);
-
-  auto from_dir = directory->Find(*schema_, options_, kFullRoots);
-  auto from_pack = packed->Find(*schema_, options_, kFullRoots);
-  ASSERT_TRUE(from_dir.ok()) << from_dir.status();
-  ASSERT_TRUE(from_pack.ok()) << from_pack.status();
-
-  auto cold_set = unfold::UnfoldedSet::Build(*schema_, kFullRoots);
-  ASSERT_TRUE(cold_set.ok());
-  core::Closure cold(*cold_set.value());
-  EXPECT_EQ(from_pack.value()->closure->FactSetDigest(), cold.FactSetDigest());
-  EXPECT_EQ(from_pack.value()->closure->FactSetDigest(),
-            from_dir.value()->closure->FactSetDigest());
-  ExpectIdenticalLogs(*from_dir.value()->closure,
-                      *from_pack.value()->closure);
-}
-
 TEST_F(PackedStoreTest, IdenticalResaveDoesNotGrowTheSegment) {
   auto store = Open();
   ASSERT_NE(store, nullptr);
@@ -351,9 +325,8 @@ TEST_F(PackedStoreTest, ForeignEndianPackIsRefused) {
     ASSERT_NE(store, nullptr);
     ASSERT_NE(BuildAndSave(*schema_, options_, store, kFullRoots), nullptr);
   }
-  // Mirror the pack header's byte-order marker: unlike directory
-  // snapshots (which swap-decode), the mmap replay path aliases raw
-  // structs, so a foreign pack must be refused outright.
+  // Mirror the pack header's byte-order marker: the mmap replay path
+  // aliases raw structs, so a foreign pack must be refused outright.
   std::string bytes = ReadFileBytes(pack_);
   std::reverse(bytes.begin() + 12, bytes.begin() + 16);
   WriteFileBytes(pack_, bytes);
@@ -518,14 +491,6 @@ TEST_F(PackedStoreTest, FindRecordShipsTheStoredRecordVerbatim) {
   EXPECT_EQ(decoded.value()->roots, kFullRoots);
   ExpectIdenticalLogs(*built->closure, *decoded.value()->closure);
 
-  // The default FindRecord (Find, then encode) over a directory store
-  // yields the same bytes.
-  auto directory = snapshot::OpenDirectoryStore(common::StrCat(dir_, "/d"));
-  ASSERT_NE(BuildAndSave(*schema_, options_, directory, kFullRoots), nullptr);
-  auto from_dir = directory->FindRecord(*schema_, options_, kFullRoots);
-  ASSERT_TRUE(from_dir.ok()) << from_dir.status();
-  EXPECT_EQ(from_dir.value(), record.value());
-
   // A stale generation is refused before any bytes are shipped.
   auto drifted = DriftedBrokerSchema();
   EXPECT_EQ(store->FindRecord(*drifted, options_, kFullRoots).status().code(),
@@ -553,8 +518,8 @@ TEST_F(PackedStoreTest, MisalignedRecordBufferIsRefused) {
 }
 
 TEST_F(PackedStoreTest, SharedStoreIsSharedThroughTheSessionOptions) {
-  // The session resolves its store once; a service borrowing the
-  // session must share the same object (one page cache).
+  // A service borrowing the session must share the session's store
+  // object (one page cache).
   auto store = Open();
   ASSERT_NE(store, nullptr);
   Fleet fleet = MakeFleet(1);
@@ -563,42 +528,26 @@ TEST_F(PackedStoreTest, SharedStoreIsSharedThroughTheSessionOptions) {
   core::AnalysisSession session(*fleet.schema, *fleet.users, options);
   EXPECT_EQ(session.options().snapshot_store.get(), store.get());
   EXPECT_EQ(session.recheck_cache().snapshot_store().get(), store.get());
-  // The deprecated directory shim still resolves to a store.
-  core::SessionOptions legacy;
-  legacy.snapshot_dir = dir_;
-  core::AnalysisSession old_style(*fleet.schema, *fleet.users, legacy);
-  EXPECT_NE(old_style.options().snapshot_store, nullptr);
 }
 
-TEST_F(PackedStoreTest, MigrateDirectoryToPackVerifiesDigests) {
-  std::string snap_dir = common::StrCat(dir_, "/snaps");
-  auto directory = snapshot::OpenDirectoryStore(snap_dir);
-  auto full = BuildAndSave(*schema_, options_, directory, kFullRoots);
-  auto small = BuildAndSave(*schema_, options_, directory, kSmallRoots);
-  ASSERT_NE(full, nullptr);
-  ASSERT_NE(small, nullptr);
-  // An unreadable file in the directory is skipped and counted, never
-  // migrated.
-  WriteFileBytes(common::StrCat(snap_dir, "/garbage.snap"),
-                 "definitely not a snapshot");
+TEST_F(PackedStoreTest, MergeSkipsSideSegmentIdsThatOverflow) {
+  // A stray file whose all-digit suffix overflows any worker id is
+  // debris: the merge skips it instead of aborting the coordinator, and
+  // still folds the real worker's side segment.
+  auto store = Open();
+  ASSERT_NE(store, nullptr);
+  auto side = store->ForkWorker(0);
+  ASSERT_TRUE(side.ok()) << side.status();
+  ASSERT_NE(BuildAndSave(*schema_, options_, side.value(), kFullRoots),
+            nullptr);
+  const std::string stray = pack_ + ".worker.99999999999999999999";
+  WriteFileBytes(stray, "debris");
 
-  auto migrated =
-      snapshot::MigrateDirectoryToPack(*schema_, options_, snap_dir, pack_);
-  ASSERT_TRUE(migrated.ok()) << migrated.status();
-  EXPECT_EQ(migrated.value().migrated, 2u);
-  EXPECT_EQ(migrated.value().invalid, 1u);
-
-  auto pack = Open();
-  ASSERT_NE(pack, nullptr);
-  EXPECT_EQ(pack->Stats().entries, 2u);
-  auto from_pack = pack->Find(*schema_, options_, kFullRoots);
-  ASSERT_TRUE(from_pack.ok()) << from_pack.status();
-  EXPECT_EQ(from_pack.value()->closure->FactSetDigest(),
-            full->closure->FactSetDigest());
-  auto small_back = pack->Find(*schema_, options_, kSmallRoots);
-  ASSERT_TRUE(small_back.ok()) << small_back.status();
-  EXPECT_EQ(small_back.value()->closure->FactSetDigest(),
-            small->closure->FactSetDigest());
+  ASSERT_TRUE(store->MergeWorkers().ok());
+  EXPECT_TRUE(std::filesystem::exists(stray));
+  EXPECT_FALSE(std::filesystem::exists(pack_ + ".worker.0"));
+  EXPECT_EQ(store->Stats().entries, 1u);
+  EXPECT_TRUE(store->Find(*schema_, options_, kFullRoots).ok());
 }
 
 // --- sharded audit over one shared pack ------------------------------

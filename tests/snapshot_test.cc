@@ -1,28 +1,20 @@
 // Snapshot-tier and shard-coordinator tests.
 //
 // The roundtrip suite pins the persistence contract: a closure saved to
-// disk and loaded in a fresh cache (or a fresh *process* — this binary
-// re-execs itself as a worker) replays to a byte-identical derivation
-// log and serves audits with zero fixpoints. The robustness suite feeds
-// the loader truncated, corrupted, version-skewed, and fingerprint-
-// skewed files and requires a counted fallback to a cold build — never
-// a crash, never a wrong answer. The shard suite pins the coordinator's
-// determinism contract against single-process CheckBatch.
-//
-// This binary has its own main: `snapshot_test --snapshot-worker <dir>`
-// runs the stockbroker audit against a snapshot directory and prints
-// the reports, which is how the cross-process roundtrip fixture spawns
-// a genuinely fresh process image.
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
+// a pack and loaded in a fresh cache replays to a byte-identical
+// derivation log and serves audits with zero fixpoints (the
+// fresh-process form is PackedShard.FreshProcessReplaysFromThePack in
+// packed_store_test). The robustness suite feeds the v3 record decoder
+// — directly and planted in a pack — truncated, corrupted,
+// version-skewed, byte-order-skewed, and fingerprint-skewed records and
+// requires a counted fallback to a cold build — never a crash, never a
+// wrong answer. The shard suite pins the coordinator's determinism
+// contract against single-process CheckBatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -41,15 +33,11 @@
 #include "service/capability_signature.h"
 #include "service/shard.h"
 #include "snapshot/binio.h"
+#include "snapshot/packed_store.h"
 #include "snapshot/snapshot.h"
+#include "snapshot/snapshot_store.h"
 #include "test_util.h"
 #include "unfold/unfolded.h"
-
-namespace {
-
-const char* g_argv0 = nullptr;
-
-}  // namespace
 
 namespace oodbsec {
 namespace {
@@ -57,6 +45,7 @@ namespace {
 using core::CachedAnalysis;
 using core::ClosureCache;
 using core::ClosureOptions;
+using snapshot::SnapshotStore;
 
 std::unique_ptr<schema::Schema> BrokerSchema() {
   schema::SchemaBuilder builder;
@@ -138,22 +127,13 @@ Fleet MakeFleet(int accounts_per_role = 3) {
   return fleet;
 }
 
-service::ServiceOptions MakeServiceOptions(int threads,
-                                           std::string snapshot_dir = {}) {
+service::ServiceOptions MakeServiceOptions(int threads) {
   service::ServiceOptions options;
   options.threads = threads;
-  options.snapshot_dir = std::move(snapshot_dir);
   return options;
 }
 
 using test_util::ScopedTempDir;
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
 
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -161,10 +141,12 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   EXPECT_TRUE(out.good()) << path;
 }
 
-std::string SnapshotPath(const std::string& dir, const ClosureOptions& options,
-                         const std::vector<std::string>& roots) {
-  return common::StrCat(dir, "/",
-                        snapshot::SnapshotFileName(options, roots));
+// A packed store over `dir`/cache.pack. Each call opens a fresh store
+// object (its own page cache), the in-process stand-in for a restart.
+std::shared_ptr<SnapshotStore> OpenPack(const std::string& dir) {
+  auto store = snapshot::OpenPackedStore(common::StrCat(dir, "/cache.pack"));
+  EXPECT_TRUE(store.ok()) << store.status();
+  return store.ok() ? std::move(store).value() : nullptr;
 }
 
 // Asserts the two closures have byte-identical derivation logs — same
@@ -200,14 +182,14 @@ TEST(SnapshotRoundtrip, ByteIdenticalReplay) {
   auto schema = BrokerSchema();
   ClosureOptions options;
 
-  ClosureCache saver(*schema, options, 64, nullptr, dir);
+  ClosureCache saver(*schema, options, 64, nullptr, OpenPack(dir));
   auto built = saver.GetOrBuild(kFullRoots);
   ASSERT_TRUE(built.ok()) << built.status();
   ASSERT_TRUE(saver.SaveCacheSnapshot(*built.value()).ok());
 
   // A fresh cache simulating a restarted process: the probe must serve
   // the saved entry, replayed — not rebuilt.
-  ClosureCache loader(*schema, options, 64, nullptr, dir);
+  ClosureCache loader(*schema, options, 64, nullptr, OpenPack(dir));
   auto loaded = loader.FindSnapshot(kFullRoots);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loader.stats().snapshot_hits, 1u);
@@ -227,13 +209,13 @@ TEST(SnapshotRoundtrip, GetOrBuildChainsExactThenSnapshotThenBuild) {
   ClosureOptions options;
 
   {
-    ClosureCache saver(*schema, options, 64, nullptr, dir);
+    ClosureCache saver(*schema, options, 64, nullptr, OpenPack(dir));
     auto built = saver.GetOrBuild(kFullRoots);
     ASSERT_TRUE(built.ok()) << built.status();
     ASSERT_TRUE(saver.SaveCacheSnapshot().ok());  // bulk form
   }
 
-  ClosureCache cache(*schema, options, 64, nullptr, dir);
+  ClosureCache cache(*schema, options, 64, nullptr, OpenPack(dir));
   auto first = cache.GetOrBuild(kFullRoots);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(cache.stats().snapshot_hits, 1u);
@@ -258,7 +240,7 @@ TEST(SnapshotRoundtrip, LoadedSnapshotServesAsWarmBase) {
   ClosureOptions options;
 
   {
-    ClosureCache saver(*schema, options, 64, nullptr, dir);
+    ClosureCache saver(*schema, options, 64, nullptr, OpenPack(dir));
     auto built = saver.GetOrBuild({"checkBudget"});
     ASSERT_TRUE(built.ok());
     ASSERT_TRUE(saver.SaveCacheSnapshot().ok());
@@ -266,7 +248,7 @@ TEST(SnapshotRoundtrip, LoadedSnapshotServesAsWarmBase) {
 
   // Bulk warm start, then a superset request: the loaded entry must
   // serve as the warm-start base exactly like an in-memory one.
-  ClosureCache cache(*schema, options, 64, nullptr, dir);
+  ClosureCache cache(*schema, options, 64, nullptr, OpenPack(dir));
   EXPECT_EQ(cache.LoadCacheSnapshot(), 1u);
   auto superset = cache.GetOrBuild(kFullRoots);
   ASSERT_TRUE(superset.ok());
@@ -292,7 +274,7 @@ TEST(SnapshotRoundtrip, RetractedClosureSnapshotRoundtrips) {
   ClosureOptions options;
   const std::vector<std::string> reduced = {"checkBudget"};
 
-  ClosureCache saver(*schema, options, 64, nullptr, dir);
+  ClosureCache saver(*schema, options, 64, nullptr, OpenPack(dir));
   auto full = saver.GetOrBuild(kFullRoots);
   ASSERT_TRUE(full.ok()) << full.status();
   auto retracted = saver.RetractEntry(kFullRoots, reduced);
@@ -301,7 +283,7 @@ TEST(SnapshotRoundtrip, RetractedClosureSnapshotRoundtrips) {
   EXPECT_EQ(saver.stats().retract_builds, 1u);
   ASSERT_TRUE(saver.SaveCacheSnapshot(*retracted).ok());
 
-  ClosureCache loader(*schema, options, 64, nullptr, dir);
+  ClosureCache loader(*schema, options, 64, nullptr, OpenPack(dir));
   auto loaded = loader.FindSnapshot(reduced);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loader.stats().snapshot_hits, 1u);
@@ -315,16 +297,19 @@ TEST(SnapshotRoundtrip, RetractedClosureSnapshotRoundtrips) {
   EXPECT_EQ(loaded->closure->FactSetDigest(), cold.FactSetDigest());
 }
 
-TEST(SnapshotRoundtrip, OptionsChangeTheFileName) {
+TEST(SnapshotKeyHash, OptionsAndRootsChangeTheKey) {
   ClosureOptions a;
   ClosureOptions b;
   b.pi_join_to_ti = false;
-  EXPECT_NE(snapshot::SnapshotFileName(a, kFullRoots),
-            snapshot::SnapshotFileName(b, kFullRoots));
-  EXPECT_NE(snapshot::SnapshotFileName(a, kFullRoots),
-            snapshot::SnapshotFileName(a, {"checkBudget"}));
-  EXPECT_EQ(snapshot::SnapshotFileName(a, kFullRoots),
-            snapshot::SnapshotFileName(a, kFullRoots));
+  EXPECT_NE(snapshot::SnapshotKeyHash(a, kFullRoots),
+            snapshot::SnapshotKeyHash(b, kFullRoots));
+  EXPECT_NE(snapshot::SnapshotKeyHash(a, kFullRoots),
+            snapshot::SnapshotKeyHash(a, {"checkBudget"}));
+  // Root order is part of the key (unfold order fixes the id space).
+  EXPECT_NE(snapshot::SnapshotKeyHash(a, kFullRoots),
+            snapshot::SnapshotKeyHash(a, {"updateSalary", "checkBudget"}));
+  EXPECT_EQ(snapshot::SnapshotKeyHash(a, kFullRoots),
+            snapshot::SnapshotKeyHash(a, kFullRoots));
 }
 
 // --- schema fingerprint golden values ---------------------------------
@@ -412,85 +397,98 @@ TEST(SchemaFingerprintGolden, ConcurrentFirstUseAgrees) {
   }
 }
 
-// --- the cross-process fixture (ctest: snapshot_roundtrip) -----------
-
-TEST(SnapshotRoundtrip, FreshProcessReplaysTheAudit) {
-  ASSERT_NE(g_argv0, nullptr);
-  ScopedTempDir tmp("oodbsec_snapshot_test");
-  ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
-  Fleet fleet = MakeFleet();
-
-  // In-process pass: run the audit cold, persist every closure, and
-  // render the expected report text.
-  std::string expected;
-  {
-    service::AnalysisService svc(*fleet.schema, *fleet.users,
-                                 MakeServiceOptions(2, dir));
-    auto reports = svc.CheckBatch(fleet.sheet);
-    ASSERT_TRUE(reports.ok()) << reports.status();
-    ASSERT_TRUE(svc.SaveCacheSnapshot().ok());
-    for (const core::AnalysisReport& report : reports.value()) {
-      expected += report.ToString();
-    }
-  }
-
-  // Spawn a genuinely fresh process (fork + exec of this binary in
-  // worker mode) over the same directory and diff its reports.
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::dup2(fds[1], STDOUT_FILENO);
-    ::close(fds[0]);
-    ::close(fds[1]);
-    ::execl(g_argv0, g_argv0, "--snapshot-worker", dir.c_str(),
-            static_cast<char*>(nullptr));
-    ::_exit(127);  // exec failed
-  }
-  ::close(fds[1]);
-  std::string output;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fds[0], buf, sizeof buf)) > 0) {
-    output.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fds[0]);
-  int wstatus = 0;
-  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-  ASSERT_TRUE(WIFEXITED(wstatus)) << "worker did not exit cleanly";
-  EXPECT_EQ(WEXITSTATUS(wstatus), 0) << output;
-
-  // The worker prints the reports, then one stats line. It must have
-  // built nothing: every signature replays from the snapshot tier.
-  std::string marker = "\n--stats closures_built=0 snapshot_hits=3\n";
-  ASSERT_NE(output.find(marker), std::string::npos) << output;
-  EXPECT_EQ(output.substr(0, output.size() - marker.size()), expected);
-}
-
 // --- robustness: hostile bytes fall back to a cold build -------------
+//
+// Every rung of the v3 invalidation ladder (snapshot.h), checked twice:
+// on DecodePackedRecord directly, and through a pack's Find and a cache
+// over that pack.
 
 class SnapshotRobustnessTest : public ::testing::Test {
  protected:
+  // magic 8 | u32 version | u32 byte-order marker | u64 fingerprint
+  // | u64 checksum
+  static constexpr size_t kHeaderSize = 32;
+
   void SetUp() override {
     ASSERT_TRUE(tmp_.ok());
-    dir_ = tmp_.path();
     schema_ = BrokerSchema();
-    ClosureCache saver(*schema_, options_, 64, nullptr, dir_);
-    auto built = saver.GetOrBuild(kFullRoots);
+    ClosureCache builder(*schema_, options_);
+    auto built = builder.GetOrBuild(kFullRoots);
     ASSERT_TRUE(built.ok());
     reference_digest_ = built.value()->closure->FactSetDigest();
-    ASSERT_TRUE(saver.SaveCacheSnapshot(*built.value()).ok());
-    path_ = SnapshotPath(dir_, options_, kFullRoots);
+    record_ = snapshot::EncodePackedRecord(*schema_, options_, *built.value());
+    ASSERT_GT(record_.size(), kHeaderSize + 64);
   }
 
+  // Writes a one-record pack holding `record` verbatim under kFullRoots'
+  // key, its index entry stamped with the live fingerprint and a valid
+  // footer, so Find hands the bytes to the decoder as they are.
+  void PlantRecord(const std::string& record) {
+    const uint64_t key = snapshot::SnapshotKeyHash(options_, kFullRoots);
+    snapshot::ByteWriter pack;
+    pack.PutFixedString(snapshot::kPackMagic);
+    pack.PutU32(snapshot::kPackVersion);
+    pack.PutU32(snapshot::kByteOrderMark);
+    pack.PutU64(0);  // reserved
+    pack.PutU64(0);
+    const uint64_t offset = pack.buffer().size();
+    pack.PutU64(key);
+    pack.PutU64(record.size());
+    pack.PutFixedString(record);
+    std::string bytes = pack.Release();
+    bytes.resize((bytes.size() + 7) & ~size_t{7}, '\0');
 
-  // The invariant all corruption cases share: the probe rejects the
-  // file (counted invalid, no crash) and GetOrBuild still serves the
-  // right answer via a cold build.
-  void ExpectCountedFallback() {
-    ClosureCache cache(*schema_, options_, 64, nullptr, dir_);
+    uint64_t checksum = 0;
+    if (record.size() >= kHeaderSize) {
+      std::memcpy(&checksum, record.data() + 24, sizeof checksum);
+    }
+    snapshot::ByteWriter index;
+    index.PutU64(key);
+    index.PutU64(offset);
+    index.PutU64(record.size());
+    index.PutU64(snapshot::SchemaFingerprint(*schema_, options_));
+    index.PutU64(checksum);
+    snapshot::ByteWriter trailer;
+    trailer.PutU64(bytes.size());
+    trailer.PutU64(1);
+    trailer.PutU64(snapshot::Fnv1a64(index.buffer()));
+    trailer.PutFixedString(snapshot::kPackIndexMagic);
+    WriteFileBytes(common::StrCat(tmp_.path(), "/cache.pack"),
+                   bytes + index.buffer() + trailer.buffer());
+  }
+
+  // Re-stamps the header checksum over the edited payload, so only the
+  // rungs below the checksum can catch the edit.
+  static void Rechecksum(std::string* record) {
+    uint64_t checksum =
+        snapshot::Fnv1a64(std::string_view(*record).substr(kHeaderSize));
+    std::memcpy(record->data() + 24, &checksum, sizeof checksum);
+  }
+
+  // Byte offset of the record's step array: walks the payload prefix
+  // (roots, digest, rule labels, step and arena counts) to the
+  // payload-relative steps offset.
+  static size_t StepsOffset(const std::string& record) {
+    snapshot::ByteReader reader(std::string_view(record).substr(kHeaderSize));
+    for (uint32_t n = reader.GetU32(); n > 0 && reader.ok(); --n) {
+      reader.GetString();  // roots
+    }
+    reader.GetString();  // fact-set digest
+    for (uint32_t n = reader.GetU32(); n > 0 && reader.ok(); --n) {
+      reader.GetString();  // rule labels
+    }
+    reader.GetU32();  // step count
+    reader.GetU32();  // arena count
+    uint32_t steps_rel = reader.GetU32();
+    EXPECT_TRUE(reader.ok());
+    return kHeaderSize + steps_rel;
+  }
+
+  // The invariant all corruption cases share: the cache's probe rejects
+  // the record (counted invalid, no crash) and GetOrBuild still serves
+  // the right answer via a cold build.
+  void ExpectCountedFallback(const std::shared_ptr<SnapshotStore>& store) {
+    ClosureCache cache(*schema_, options_, 64, nullptr, store);
     EXPECT_EQ(cache.FindSnapshot(kFullRoots), nullptr);
     EXPECT_EQ(cache.stats().snapshot_invalid, 1u);
     auto rebuilt = cache.GetOrBuild(kFullRoots);
@@ -501,178 +499,169 @@ class SnapshotRobustnessTest : public ::testing::Test {
     EXPECT_EQ(rebuilt.value()->closure->FactSetDigest(), reference_digest_);
   }
 
+  // `record` is refused with kFailedPrecondition naming `rung`, both by
+  // the decoder and by a pack's Find, and a cache over the pack falls
+  // back to a cold build.
+  void ExpectRefused(const std::string& record, std::string_view rung) {
+    auto decoded =
+        snapshot::DecodePackedRecord(*schema_, options_, record, "test");
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), common::StatusCode::kFailedPrecondition);
+    EXPECT_NE(decoded.status().message().find(rung), std::string::npos)
+        << decoded.status();
+
+    PlantRecord(record);
+    auto store = OpenPack(tmp_.path());
+    ASSERT_NE(store, nullptr);
+    auto found = store->Find(*schema_, options_, kFullRoots);
+    ASSERT_FALSE(found.ok());
+    EXPECT_EQ(found.status().code(), common::StatusCode::kFailedPrecondition);
+    EXPECT_NE(found.status().message().find(rung), std::string::npos)
+        << found.status();
+    ExpectCountedFallback(store);
+  }
+
   ScopedTempDir tmp_{"oodbsec_snapshot_test"};
-  std::string dir_;
-  std::string path_;
   std::unique_ptr<schema::Schema> schema_;
   ClosureOptions options_;
   std::string reference_digest_;
+  std::string record_;
 };
 
-TEST_F(SnapshotRobustnessTest, MissingFileIsAMissNotAnError) {
-  ClosureCache cache(*schema_, options_, 64, nullptr, dir_);
+TEST_F(SnapshotRobustnessTest, PlantedIntactRecordIsFound) {
+  // The control for every case below: the planted pack itself is sound.
+  PlantRecord(record_);
+  auto store = OpenPack(tmp_.path());
+  ASSERT_NE(store, nullptr);
+  auto found = store->Find(*schema_, options_, kFullRoots);
+  ASSERT_TRUE(found.ok()) << found.status();
+  EXPECT_EQ(found.value()->closure->FactSetDigest(), reference_digest_);
+}
+
+TEST_F(SnapshotRobustnessTest, MissingSignatureIsNotFoundNotInvalid) {
+  // No record for a signature is a miss (kNotFound), distinct from a
+  // record that fails validation (kFailedPrecondition).
+  std::string flipped = record_;
+  flipped[flipped.size() - 5] ^= 0x41;
+  PlantRecord(flipped);
+  auto store = OpenPack(tmp_.path());
+  ASSERT_NE(store, nullptr);
+  auto missing = store->Find(*schema_, options_, {"calcSalary"});
+  EXPECT_EQ(missing.status().code(), common::StatusCode::kNotFound);
+  auto invalid = store->Find(*schema_, options_, kFullRoots);
+  EXPECT_EQ(invalid.status().code(), common::StatusCode::kFailedPrecondition);
+
+  ClosureCache cache(*schema_, options_, 64, nullptr, store);
   EXPECT_EQ(cache.FindSnapshot({"calcSalary"}), nullptr);
   EXPECT_EQ(cache.stats().snapshot_misses, 1u);
   EXPECT_EQ(cache.stats().snapshot_invalid, 0u);
 }
 
 TEST_F(SnapshotRobustnessTest, TruncatedHeader) {
-  WriteFileBytes(path_, ReadFileBytes(path_).substr(0, 12));
-  ExpectCountedFallback();
+  std::string cut = record_.substr(0, 12);
+  auto decoded = snapshot::DecodePackedRecord(*schema_, options_, cut, "test");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), common::StatusCode::kFailedPrecondition);
+  EXPECT_NE(decoded.status().message().find("not a snapshot record"),
+            std::string::npos)
+      << decoded.status();
+
+  // Too short to be indexed at all: the pack's recovery drops it, so the
+  // signature reads as a miss and the cache builds cold.
+  PlantRecord(cut);
+  auto store = OpenPack(tmp_.path());
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->Find(*schema_, options_, kFullRoots).status().code(),
+            common::StatusCode::kNotFound);
+  ClosureCache cache(*schema_, options_, 64, nullptr, store);
+  auto rebuilt = cache.GetOrBuild(kFullRoots);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  EXPECT_EQ(cache.stats().snapshot_misses, 1u);
+  EXPECT_EQ(cache.stats().cold_builds, 1u);
+  EXPECT_EQ(rebuilt.value()->closure->FactSetDigest(), reference_digest_);
 }
 
 TEST_F(SnapshotRobustnessTest, TruncatedPayloadBreaksChecksum) {
-  std::string bytes = ReadFileBytes(path_);
-  WriteFileBytes(path_, bytes.substr(0, bytes.size() / 2));
-  ExpectCountedFallback();
+  ExpectRefused(record_.substr(0, record_.size() / 2), "checksum mismatch");
 }
 
 TEST_F(SnapshotRobustnessTest, TruncatedPayloadWithRecomputedChecksum) {
   // The deeper case: the payload is cut short but the checksum is made
   // consistent again, so only the bounds-checked decoder can catch it.
-  std::string bytes = ReadFileBytes(path_);
-  constexpr size_t kHeaderSize = 32;  // magic 8 | u32 ×2 | u64 ×2
-  ASSERT_GT(bytes.size(), kHeaderSize + 64);
-  bytes.resize(bytes.size() - 33);
-  uint64_t checksum =
-      snapshot::Fnv1a64(std::string_view(bytes).substr(kHeaderSize));
-  std::memcpy(bytes.data() + 24, &checksum, sizeof checksum);
-  WriteFileBytes(path_, bytes);
-  ExpectCountedFallback();
+  std::string cut = record_;
+  cut.resize(cut.size() - 33);
+  Rechecksum(&cut);
+  ExpectRefused(cut, "record geometry out of bounds");
 }
 
 TEST_F(SnapshotRobustnessTest, FlippedPayloadByteBreaksChecksum) {
-  std::string bytes = ReadFileBytes(path_);
-  bytes[bytes.size() - 5] ^= 0x41;
-  WriteFileBytes(path_, bytes);
-  ExpectCountedFallback();
+  std::string flipped = record_;
+  flipped[flipped.size() - 5] ^= 0x41;
+  ExpectRefused(flipped, "checksum mismatch");
 }
 
-TEST_F(SnapshotRobustnessTest, WrongFormatVersion) {
-  std::string bytes = ReadFileBytes(path_);
-  bytes[8] ^= 0x7f;  // the u32 version lives at bytes 8..11
-  WriteFileBytes(path_, bytes);
-  ExpectCountedFallback();
-}
-
-TEST_F(SnapshotRobustnessTest, WrongSchemaFingerprintBytes) {
-  std::string bytes = ReadFileBytes(path_);
-  bytes[16] ^= 0x7f;  // the u64 fingerprint lives at bytes 16..23
-  WriteFileBytes(path_, bytes);
-  ExpectCountedFallback();
-}
-
-// Rewrites a native snapshot as the byte-identical twin a machine of
-// the opposite endianness would have written: every multi-byte integer
-// field — header and payload, walked structure-aware — is reversed in
-// place, string bytes stay untouched, and the checksum is recomputed
-// over the new payload bytes and stored swapped (a foreign writer
-// checksums *its* payload bytes and stores the u64 in *its* order).
-std::string SwapSnapshotEndianness(const std::string& bytes) {
-  std::string out = bytes;
-  size_t pos = 8;  // past "OODBSNAP"
-  auto swap32 = [&out](size_t off) {
-    std::reverse(out.begin() + static_cast<ptrdiff_t>(off),
-                 out.begin() + static_cast<ptrdiff_t>(off + 4));
-  };
-  auto swap64 = [&out](size_t off) {
-    std::reverse(out.begin() + static_cast<ptrdiff_t>(off),
-                 out.begin() + static_cast<ptrdiff_t>(off + 8));
-  };
-  // Field values must be read *before* their bytes are reversed.
-  auto u32_at = [&out](size_t off) {
-    uint32_t v = 0;
-    std::memcpy(&v, out.data() + off, sizeof v);
-    return v;
-  };
-  swap32(pos), pos += 4;  // version
-  swap32(pos), pos += 4;  // byte-order marker
-  swap64(pos), pos += 8;  // schema fingerprint
-  const size_t checksum_at = pos;
-  pos += 8;  // checksum: rewritten below over the swapped payload
-  const size_t payload_start = pos;
-  auto swap_count = [&]() {
-    uint32_t count = u32_at(pos);
-    swap32(pos), pos += 4;
-    return count;
-  };
-  auto swap_string = [&]() { pos += swap_count(); };
-  for (uint32_t n = swap_count(); n > 0; --n) swap_string();  // roots
-  swap_string();                                              // digest
-  for (uint32_t n = swap_count(); n > 0; --n) swap_string();  // rules
-  for (uint32_t n = swap_count(); n > 0; --n) {               // steps
-    pos += 1;               // kind u8
-    swap32(pos), pos += 4;  // a
-    swap32(pos), pos += 4;  // b
-    swap32(pos), pos += 4;  // origin.num
-    pos += 1;               // origin.dir u8
-    swap32(pos), pos += 4;  // rule index
-    swap32(pos), pos += 4;  // premise offset
-    swap32(pos), pos += 4;  // premise count
-  }
-  for (uint32_t n = swap_count(); n > 0; --n) {  // premise arena
-    swap32(pos), pos += 4;
-  }
-  EXPECT_EQ(pos, out.size());
-  uint64_t checksum = snapshot::Bswap64(
-      snapshot::Fnv1a64(std::string_view(out).substr(payload_start)));
-  std::memcpy(out.data() + checksum_at, &checksum, sizeof checksum);
-  return out;
-}
-
-TEST_F(SnapshotRobustnessTest, ForeignEndianSnapshotDecodesBySwapping) {
-  // A snapshot written on a machine of the opposite endianness is not
-  // corruption: the mirrored marker arms the reader's swap-decode and
-  // the full ladder (fingerprint, checksum, structure, digest) runs on
-  // the decoded values. The replayed closure is byte-identical to the
-  // native one.
-  WriteFileBytes(path_, SwapSnapshotEndianness(ReadFileBytes(path_)));
-  auto load = snapshot::LoadSnapshot(*schema_, options_, path_);
-  ASSERT_TRUE(load.ok()) << load.status();
-  EXPECT_EQ(load.value()->roots, kFullRoots);
-  EXPECT_EQ(load.value()->closure->FactSetDigest(), reference_digest_);
-  ClosureCache cache(*schema_, options_, 64, nullptr, dir_);
-  EXPECT_NE(cache.FindSnapshot(kFullRoots), nullptr);
-  EXPECT_EQ(cache.stats().snapshot_hits, 1u);
-  EXPECT_EQ(cache.stats().snapshot_invalid, 0u);
+TEST_F(SnapshotRobustnessTest, WrongEntryVersion) {
+  std::string skewed = record_;
+  skewed[8] ^= 0x7f;  // the u32 version lives at bytes 8..11
+  ExpectRefused(skewed, "record version");
 }
 
 TEST_F(SnapshotRobustnessTest, CorruptByteOrderMarkerIsRefused) {
   // A marker that is neither the native constant nor its mirror is
-  // corruption, not foreignness — refused before any payload decode.
-  std::string bytes = ReadFileBytes(path_);
-  bytes[12] ^= 0x40;  // u32 marker lives at bytes 12..15
-  WriteFileBytes(path_, bytes);
-  auto load = snapshot::LoadSnapshot(*schema_, options_, path_);
-  ASSERT_FALSE(load.ok());
-  EXPECT_EQ(load.status().code(), common::StatusCode::kFailedPrecondition);
-  EXPECT_NE(load.status().message().find("byte-order"), std::string::npos)
-      << load.status();
-  ExpectCountedFallback();
+  // corruption — refused before any payload decode.
+  std::string corrupt = record_;
+  corrupt[12] ^= 0x40;  // u32 marker lives at bytes 12..15
+  ExpectRefused(corrupt, "corrupt byte-order marker");
+}
+
+TEST_F(SnapshotRobustnessTest, SwappedByteOrderMarkerIsRefused) {
+  // The mirrored marker a machine of the opposite endianness writes:
+  // records are machine-local (replay aliases raw structs), so it is
+  // refused and named, never decoded.
+  std::string foreign = record_;
+  std::reverse(foreign.begin() + 12, foreign.begin() + 16);
+  ExpectRefused(foreign, "foreign-endian record");
+}
+
+TEST_F(SnapshotRobustnessTest, WrongSchemaFingerprintBytes) {
+  std::string skewed = record_;
+  skewed[16] ^= 0x7f;  // the u64 fingerprint lives at bytes 16..23
+  ExpectRefused(skewed, "schema fingerprint mismatch");
+}
+
+TEST_F(SnapshotRobustnessTest, OutOfRangeStepIdIsRefused) {
+  // The first step's subject occurrence (PackedStep::a, the step's first
+  // field) pointed past the unfold, checksum made consistent again: the
+  // structural rung refuses it before replay touches the tables.
+  std::string hostile = record_;
+  const int32_t bogus = 1 << 20;
+  std::memcpy(hostile.data() + StepsOffset(hostile), &bogus, sizeof bogus);
+  Rechecksum(&hostile);
+  ExpectRefused(hostile, "occurrence id out of range");
 }
 
 TEST_F(SnapshotRobustnessTest, SchemaDriftInvalidatesTheSnapshot) {
-  // A real schema change (extra attribute) under the same file name:
+  // A real schema change (extra attribute) under the same signature:
   // the fingerprint check must reject and the cache must rebuild
   // against the *new* schema.
   auto drifted = DriftedBrokerSchema();
-  ClosureCache cache(*drifted, options_, 64, nullptr, dir_);
+  auto decoded =
+      snapshot::DecodePackedRecord(*drifted, options_, record_, "test");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), common::StatusCode::kFailedPrecondition);
+  EXPECT_NE(decoded.status().message().find("schema fingerprint mismatch"),
+            std::string::npos)
+      << decoded.status();
+
+  PlantRecord(record_);
+  auto store = OpenPack(tmp_.path());
+  ASSERT_NE(store, nullptr);
+  ClosureCache cache(*drifted, options_, 64, nullptr, store);
   EXPECT_EQ(cache.FindSnapshot(kFullRoots), nullptr);
   EXPECT_EQ(cache.stats().snapshot_invalid, 1u);
   auto rebuilt = cache.GetOrBuild(kFullRoots);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(cache.stats().cold_builds, 1u);
-}
-
-TEST_F(SnapshotRobustnessTest, DirectLoadReportsNotFoundDistinctly) {
-  auto missing = snapshot::LoadSnapshot(*schema_, options_,
-                                        common::StrCat(dir_, "/absent.snap"));
-  EXPECT_EQ(missing.status().code(), common::StatusCode::kNotFound);
-  std::string garbage_path = common::StrCat(dir_, "/garbage.snap");
-  WriteFileBytes(garbage_path, "definitely not a snapshot");
-  auto garbage = snapshot::LoadSnapshot(*schema_, options_, garbage_path);
-  EXPECT_EQ(garbage.status().code(),
-            common::StatusCode::kFailedPrecondition);
 }
 
 // --- shard coordinator ----------------------------------------------
@@ -775,7 +764,7 @@ TEST(ShardTest, ShardedWorkersShareTheSnapshotTier) {
   Fleet fleet = MakeFleet();
   service::ShardOptions options;
   options.shard_count = 4;
-  options.snapshot_dir = dir;
+  options.snapshot_store = OpenPack(dir);
   options.save_snapshots = true;
 
   auto cold = service::RunShardedBatch(*fleet.schema, *fleet.users,
@@ -796,36 +785,4 @@ TEST(ShardTest, ShardedWorkersShareTheSnapshotTier) {
 }
 
 }  // namespace
-
-// Worker mode for the cross-process fixture: audit the fleet against a
-// snapshot directory and print reports + a stats marker.
-int RunSnapshotWorker(const std::string& dir) {
-  Fleet fleet = MakeFleet();
-  service::AnalysisService svc(*fleet.schema, *fleet.users,
-                               MakeServiceOptions(2, dir));
-  auto reports = svc.CheckBatch(fleet.sheet);
-  if (!reports.ok()) {
-    std::fprintf(stderr, "%s\n", reports.status().ToString().c_str());
-    return 1;
-  }
-  for (const core::AnalysisReport& report : reports.value()) {
-    std::fputs(report.ToString().c_str(), stdout);
-  }
-  service::ServiceStats stats = svc.Stats();
-  std::printf("\n--stats closures_built=%zu snapshot_hits=%zu\n",
-              stats.closures_built, stats.snapshot_hits);
-  return 0;
-}
-
 }  // namespace oodbsec
-
-int main(int argc, char** argv) {
-  g_argv0 = argv[0];
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view(argv[i]) == "--snapshot-worker") {
-      return oodbsec::RunSnapshotWorker(argv[i + 1]);
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}
