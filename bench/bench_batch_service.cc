@@ -29,7 +29,7 @@
 #include "schema/schema.h"
 #include "schema/user.h"
 #include "service/analysis_service.h"
-#include "service/shard.h"
+#include "service/tcp_shard.h"
 
 namespace {
 
@@ -165,21 +165,22 @@ BENCHMARK(BM_BatchWarmCache)
     ->UseRealTime();
 
 // Sharded multi-process audit over the same population: fork
-// `shard_count` workers, route requirements by capability signature,
-// merge. Cold every iteration (each worker builds its own shard's
-// closures), so against BM_BatchColdCache/1 the delta is fork + pipe +
-// merge overhead versus true multi-core fixpoint parallelism. Runs
-// before any persistent pool exists in this process — fork() wants a
+// `shard_count` workers on socketpairs, route requirements by
+// capability signature, stream signature batches, merge. Cold every
+// iteration (each worker builds its own shard's closures), so against
+// BM_BatchColdCache/1 the delta is fork + frame protocol + merge
+// overhead versus true multi-core fixpoint parallelism. Runs before
+// any persistent pool exists in this process — fork() wants a
 // single-threaded image (the scoped services above are gone by now).
 void BM_ShardedBatch(benchmark::State& state) {
   Population population = MakeRolePopulation(kRoles, kUsersPerRole);
-  service::ShardOptions options;
+  service::ForkTransportOptions options;
   options.shard_count = static_cast<int>(state.range(0));
+  service::ForkTransport transport(options);
   double built = 0;
   for (auto _ : state) {
-    auto result = service::RunShardedBatch(
-        *population.schema, *population.users, population.requirements,
-        options);
+    auto result = transport.Run(*population.schema, *population.users,
+                                population.requirements, nullptr);
     if (!result.ok()) std::abort();
     benchmark::DoNotOptimize(result->reports.size());
     built = static_cast<double>(result->merged_stats.closures_built);

@@ -9,14 +9,14 @@
 // then double-checks itself against the sequential analyzer.
 //
 // The same sheet then runs through the sharded multi-process path
-// (service/shard.h): four forked workers, requirements routed by
+// (service/tcp_shard.h): four forked workers, requirements routed by
 // capability signature, reports merged byte-identical to the
 // single-process batch. The first sharded run persists every closure
-// it builds into a packed snapshot store (one segment file; workers
-// append to private side segments the coordinator merges). Then the
+// it builds into a packed snapshot store (one segment file, which the
+// workers reach through the coordinator's store server). Then the
 // fleet is "killed": the store object is dropped and the pack reopened
 // cold, and a second sharded run rebuilds nothing — every signature
-// replays from the segment via mmap.
+// replays from the segment.
 //
 // With --transport=tcp the audit goes one step further: after the fork
 // passes (which need the single-threaded image) a loopback TCP fleet is
@@ -149,13 +149,14 @@ int main(int argc, char** argv) {
   // --closure-threads=N parallelizes every fixpoint the fleet builds
   // (workers, batch service, TCP fleet alike); the reports stay byte
   // identical because the engine's derivation logs do (0 = auto).
-  service::ShardOptions shard_options;
+  service::ForkTransportOptions shard_options;
   shard_options.shard_count = 4;
   shard_options.closure.closure_threads = closure_threads;
   shard_options.snapshot_store = store.value();
   shard_options.save_snapshots = true;
-  auto sharded = service::RunShardedBatch(*workspace.schema, *workspace.users,
-                                          sheet, shard_options);
+  auto sharded = service::ForkTransport(shard_options)
+                     .Run(*workspace.schema, *workspace.users, sheet,
+                          nullptr);
   if (!sharded.ok()) {
     std::fprintf(stderr, "%s\n", sharded.status().ToString().c_str());
     return 1;
@@ -243,9 +244,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   shard_options.snapshot_store = store.value();
-  auto restarted = service::RunShardedBatch(*workspace.schema,
-                                            *workspace.users, sheet,
-                                            shard_options);
+  auto restarted = service::ForkTransport(shard_options)
+                       .Run(*workspace.schema, *workspace.users, sheet,
+                            nullptr);
   if (!restarted.ok()) {
     std::fprintf(stderr, "%s\n", restarted.status().ToString().c_str());
     return 1;

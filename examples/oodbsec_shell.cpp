@@ -15,7 +15,7 @@
 //   revoke <user> <function>   revoke one; DRed-shrinks the cached closure
 //   recheck                    re-audit every requirement incrementally
 //   batch [threads]            same, through the caching batch service
-//   shard [shards] [threads]   same, forked across worker processes
+//   shard [shards]             same, across forked worker processes
 //   shard tcp <host:port>...   same, streamed to TCP workers (started
 //                              with `serve`), pipelined by signature
 //   serve <port>               become a shard worker: serve batches on
@@ -116,9 +116,7 @@ class Shell {
         ShardTcp(addresses);
       } else {
         int shards = std::atoi(first.c_str());
-        int threads = 0;
-        in >> threads;
-        Shard(shards > 0 ? shards : 4, threads > 0 ? threads : 1);
+        Shard(shards > 0 ? shards : 4);
       }
     } else if (command == "fixpoint") {
       int threads = -1;
@@ -176,7 +174,7 @@ class Shell {
         "  batch [threads]                 same, through the batch service\n"
         "                                  (shared-closure cache, default 4"
         " threads)\n"
-        "  shard [shards] [threads]        same, forked across worker\n"
+        "  shard [shards]                  same, across forked worker\n"
         "                                  processes (default 4 shards)\n"
         "  shard tcp <host:port> ...       same, streamed to TCP workers\n"
         "                                  (started with 'serve')\n"
@@ -339,54 +337,35 @@ class Shell {
         stats.signature_hits, stats.requirement_hits, stats.snapshot_hits);
   }
 
-  // Like Batch(), but forked across worker processes (service/shard.h):
-  // requirements are routed by capability signature, each worker runs a
-  // private service over its subset, and the merged report is
-  // byte-identical to single-process CheckBatch. Uses the armed
-  // snapshot store (if any) as the workers' shared L2, and saves what
-  // the workers built back into it.
-  void Shard(int shards, int threads) {
+  // Like Batch(), but sharded across worker processes forked for this
+  // run (service/tcp_shard.h): requirements are routed by capability
+  // signature, and the merged report is byte-identical to
+  // single-process CheckBatch. The armed snapshot store (if any) is
+  // served to the workers as their shared L2, and what they build is
+  // saved back into it.
+  void Shard(int shards) {
     // fork() wants a single-threaded image: retire the in-process
     // service's pool first (workers build their own pools post-fork).
     service_.reset();
-    service::ShardOptions options;
+    service::ForkTransportOptions options;
     options.shard_count = shards;
-    options.threads = threads;
     options.closure = session_->closure_options();
     options.snapshot_store = store_;
     options.save_snapshots = store_ != nullptr;
-    auto sharded = service::RunShardedBatch(
-        *workspace_.schema, *workspace_.users, workspace_.requirements,
-        options, &session_->obs());
-    if (!sharded.ok()) {
-      std::printf("error: %s\n", sharded.status().ToString().c_str());
-      return;
-    }
-    last_reports_ = std::move(sharded.value().reports);
-    for (size_t i = 0; i < last_reports_.size(); ++i) {
-      std::printf("[%zu] %s", i, last_reports_[i].ToString().c_str());
-    }
-    const service::ServiceStats& stats = sharded.value().merged_stats;
-    std::printf(
-        "(%d shard(s) x %d thread(s): %zu check(s), %zu closure(s) built, "
-        "%zu signature hit(s), %zu requirement hit(s), "
-        "%zu snapshot hit(s))\n",
-        shards, threads, stats.checks, stats.closures_built,
-        stats.signature_hits, stats.requirement_hits, stats.snapshot_hits);
+    std::vector<std::string> names;
     for (int s = 0; s < shards; ++s) {
-      std::printf("  shard %d: %zu requirement(s), %zu closure(s) built, "
-                  "%zu snapshot hit(s)\n",
-                  s, sharded.value().shard_requirements[s],
-                  sharded.value().shard_stats[s].closures_built,
-                  sharded.value().shard_stats[s].snapshot_hits);
+      names.push_back(common::StrCat("shard ", s));
     }
+    PrintSharded(service::ForkTransport(options).Run(
+                     *workspace_.schema, *workspace_.users,
+                     workspace_.requirements, &session_->obs()),
+                 names);
   }
 
-  // Like Shard(), but streamed to already-running TCP workers
-  // (service/tcp_shard.h): signature-coalesced batches pipeline over
-  // persistent connections, and the armed snapshot store (if any) is
-  // served to the workers over the same wire as a remote L2 tier. The
-  // merged report stays byte-identical to `batch` and `shard`.
+  // Like Shard(), but streamed to already-running TCP workers (started
+  // with `serve`) over the same protocol: signature-coalesced batches
+  // pipeline over persistent connections, and the armed snapshot store
+  // (if any) is served to the workers as a remote L2 tier.
   void ShardTcp(const std::vector<std::string>& addresses) {
     if (addresses.empty()) {
       std::printf("usage: shard tcp <host:port> [<host:port> ...]\n");
@@ -397,10 +376,16 @@ class Shell {
     options.closure = session_->closure_options();
     options.snapshot_store = store_;
     options.save_snapshots = store_ != nullptr;
-    service::TcpTransport transport(options);
-    auto sharded =
-        transport.Run(*workspace_.schema, *workspace_.users,
-                      workspace_.requirements, &session_->obs());
+    PrintSharded(service::TcpTransport(options).Run(
+                     *workspace_.schema, *workspace_.users,
+                     workspace_.requirements, &session_->obs()),
+                 addresses);
+  }
+
+  // Prints a sharded run: its reports, the merged totals, and one line
+  // per worker (`workers` names them in shard order).
+  void PrintSharded(common::Result<service::ShardedBatchResult> sharded,
+                    const std::vector<std::string>& workers) {
     if (!sharded.ok()) {
       std::printf("error: %s\n", sharded.status().ToString().c_str());
       return;
@@ -411,15 +396,14 @@ class Shell {
     }
     const service::ServiceStats& stats = sharded.value().merged_stats;
     std::printf(
-        "(%zu tcp worker(s): %zu check(s), %zu closure(s) built, "
+        "(%zu worker(s): %zu check(s), %zu closure(s) built, "
         "%zu signature hit(s), %zu snapshot hit(s))\n",
-        addresses.size(), stats.checks, stats.closures_built,
+        workers.size(), stats.checks, stats.closures_built,
         stats.signature_hits, stats.snapshot_hits);
-    for (size_t s = 0; s < addresses.size(); ++s) {
+    for (size_t s = 0; s < workers.size(); ++s) {
       std::printf("  %s: %zu requirement(s), %zu closure(s) built, "
                   "%zu snapshot hit(s)\n",
-                  addresses[s].c_str(),
-                  sharded.value().shard_requirements[s],
+                  workers[s].c_str(), sharded.value().shard_requirements[s],
                   sharded.value().shard_stats[s].closures_built,
                   sharded.value().shard_stats[s].snapshot_hits);
     }

@@ -273,12 +273,16 @@ bool MetaruleEngine::CornerPins(int i, int target) const {
   // Candidate sets of size <= 2 (the paper's {2,3} x {4,5} example).
   for (size_t a = 0; a < di.size(); ++a) {
     for (size_t b = a; b < di.size(); ++b) {
-      std::vector<Value> si = {di[a]};
+      std::vector<Value> si;
+      si.reserve(2);
+      si.push_back(di[a]);
       if (b != a) si.push_back(di[b]);
       if (si.size() >= di.size()) continue;  // must be a proper subset
       for (size_t c = 0; c < dr.size(); ++c) {
         for (size_t d = c; d < dr.size(); ++d) {
-          std::vector<Value> sr = {dr[c]};
+          std::vector<Value> sr;
+          sr.reserve(2);
+          sr.push_back(dr[c]);
           if (d != c) sr.push_back(dr[d]);
           if (sr.size() >= dr.size()) continue;
           if (consistent_count(si, sr) == 1) return true;

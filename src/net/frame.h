@@ -7,10 +7,10 @@
 //   | u64 payload checksum (FNV-1a)
 //
 // Integers are host-endian, like every other wire the repository owns
-// (the fork shard pipes, the snapshot header): a connection between
-// machines of different endianness is *detected* at the hello handshake
-// (each side sends snapshot::kByteOrderMark) and refused with a specific
-// diagnosis rather than mis-decoded. That covers the store frames too:
+// (the snapshot header): a connection between machines of different
+// endianness is *detected* at the hello handshake (each side sends
+// snapshot::kByteOrderMark) and refused with a specific diagnosis
+// rather than mis-decoded. That covers the store frames too:
 // they carry v3 packed snapshot records (snapshot/packed_store.h),
 // which are machine-local like the packs they come from.
 //

@@ -1,12 +1,11 @@
-// The report/stats wire codec shared by every shard transport.
+// The report/stats wire codec of the shard protocol.
 //
-// Fork pipes (service/shard.cc) and TCP frames (service/tcp_shard.cc)
-// carry the same payloads: analysis reports tagged with their global
-// input index, and ServiceStats totals. The byte-identity contract —
-// fork == tcp == single-process CheckBatch — is easiest to keep honest
-// when there is exactly one code path producing and parsing those
-// bytes, so both transports call these helpers instead of hand-rolling
-// the field order twice.
+// The kReports and kStats frames of service/tcp_shard.cc carry
+// analysis reports tagged with their global input index, and
+// ServiceStats totals. The byte-identity contract — sharded ==
+// single-process CheckBatch — is easiest to keep honest when exactly
+// one code path produces and parses those bytes: the worker loop and
+// the coordinator both call these helpers.
 //
 // Layout (snapshot/binio primitives, host-endian like the rest of the
 // repository's wires):

@@ -5,6 +5,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -157,8 +158,9 @@ void EnqueueFrame(WorkerConn& w, FrameType type,
   w.outbox.push_back(std::move(frame));
 }
 
-// Drains as much of the outbox as the socket accepts, 8 frames per
-// writev. Returns false when the socket is dead.
+// Drains as much of the outbox as the socket accepts, 7 frames per
+// gather write. Returns false when the socket is dead (a dead peer is
+// an error return, never a SIGPIPE).
 bool DrainOutbox(WorkerConn& w, uint64_t* bytes_out) {
   while (!w.outbox.empty()) {
     struct iovec iov[16];
@@ -182,7 +184,10 @@ bool DrainOutbox(WorkerConn& w, uint64_t* bytes_out) {
         ++iovcnt;
       }
     }
-    ssize_t n = ::writev(w.sock.fd(), iov, iovcnt);
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(iovcnt);
+    ssize_t n = ::sendmsg(w.sock.fd(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return errno == EAGAIN || errno == EWOULDBLOCK;
@@ -330,140 +335,119 @@ bool DrainInbox(WorkerConn& w, CoordinatorState& state, uint64_t* bytes_in,
   return ok && !saw_eof;
 }
 
-}  // namespace
-
-TcpTransport::TcpTransport(TcpTransportOptions options)
-    : options_(std::move(options)) {}
-
-TcpTransport::~TcpTransport() { store_server_.Stop(); }
-
-common::Result<ShardedBatchResult> TcpTransport::Run(
-    const schema::Schema& schema, const schema::UserRegistry& users,
-    const std::vector<core::Requirement>& requirements,
-    obs::Observability* obs) {
-  if (options_.workers.empty()) {
-    return common::InvalidArgumentError("tcp shard: no workers configured");
-  }
-  const int in_flight_cap =
-      options_.max_in_flight < 1 ? 1 : options_.max_in_flight;
-  const size_t batch_cap = options_.max_batch_requirements < 1
-                               ? 1
-                               : static_cast<size_t>(
-                                     options_.max_batch_requirements);
-  const size_t n = requirements.size();
-  obs::Tracer* tracer = obs != nullptr ? &obs->tracer : nullptr;
-  obs::ScopedSpan batch_span(tracer, "tcp.batch");
-
-  // The networked snapshot tier: front the coordinator's store once,
-  // advertise the port in every hello.
-  if (options_.snapshot_store != nullptr && options_.serve_snapshot_store &&
-      !store_server_started_) {
-    common::Status started = store_server_.Start(
-        schema, options_.closure, options_.snapshot_store, /*port=*/0);
-    if (!started.ok()) return started;
-    store_server_started_ = true;
-  }
-
-  // Plan: resolve every requirement to roots, coalesce by signature
-  // (first-appearance order), chunk at the cap. Unknown users become
-  // failure candidates at their input position, exactly as the fork
-  // path and CheckBatch surface them.
+// The planned audit: every requirement resolved to its roots and
+// coalesced by signature (first-appearance order), chunked at the
+// batch cap, each batch aimed at the worker its signature routes to.
+// Unknown users become failure candidates at their input position,
+// exactly where single-process CheckBatch surfaces them.
+struct Plan {
   std::vector<Batch> batches;
-  std::vector<size_t> batch_target;  // initial worker index per batch
+  std::vector<size_t> target;  // routed worker index per batch
   std::optional<Failure> failure;
-  {
-    obs::ScopedSpan plan_span(tracer, "tcp.plan");
-    struct Group {
-      std::vector<std::string> roots;
-      std::string signature;
-      std::vector<size_t> indices;
-    };
-    std::vector<Group> groups;
-    std::unordered_map<std::string, size_t> group_of;
-    for (size_t i = 0; i < n; ++i) {
-      const schema::User* user = users.Find(requirements[i].user);
-      if (user == nullptr) {
-        NoteFailure(failure, i,
-                    common::NotFoundError(common::StrCat(
-                        "unknown user '", requirements[i].user, "'")));
-        continue;
-      }
-      std::vector<std::string> roots = core::AnalysisRoots(schema, *user);
-      std::string signature = SignatureFromRoots(roots, options_.closure);
-      auto [it, inserted] = group_of.emplace(signature, groups.size());
-      if (inserted) {
-        groups.push_back(Group{std::move(roots), signature, {}});
-      }
-      groups[it->second].indices.push_back(i);
+};
+
+Plan PlanBatches(const schema::Schema& schema,
+                 const schema::UserRegistry& users,
+                 const std::vector<core::Requirement>& requirements,
+                 const core::ClosureOptions& closure, int worker_count,
+                 int max_batch_requirements, obs::Tracer* tracer) {
+  obs::ScopedSpan plan_span(tracer, "tcp.plan");
+  const size_t batch_cap =
+      max_batch_requirements < 1
+          ? 1
+          : static_cast<size_t>(max_batch_requirements);
+  Plan plan;
+  struct Group {
+    std::vector<std::string> roots;
+    std::string signature;
+    std::vector<size_t> indices;
+  };
+  std::vector<Group> groups;
+  std::unordered_map<std::string, size_t> group_of;
+  for (size_t i = 0; i < requirements.size(); ++i) {
+    const schema::User* user = users.Find(requirements[i].user);
+    if (user == nullptr) {
+      NoteFailure(plan.failure, i,
+                  common::NotFoundError(common::StrCat(
+                      "unknown user '", requirements[i].user, "'")));
+      continue;
     }
-    const int worker_count = static_cast<int>(options_.workers.size());
-    for (const Group& group : groups) {
-      const size_t target =
-          static_cast<size_t>(ShardOf(group.signature, worker_count));
-      for (size_t begin = 0; begin < group.indices.size();
-           begin += batch_cap) {
-        const size_t end =
-            std::min(begin + batch_cap, group.indices.size());
-        Batch batch;
-        batch.indices.assign(group.indices.begin() + begin,
-                             group.indices.begin() + end);
-        ByteWriter p;
-        p.PutU32(static_cast<uint32_t>(batches.size()));
-        p.PutU32(static_cast<uint32_t>(group.roots.size()));
-        for (const std::string& root : group.roots) p.PutString(root);
-        p.PutU32(static_cast<uint32_t>(batch.indices.size()));
-        for (size_t gi : batch.indices) {
-          p.PutU32(static_cast<uint32_t>(gi));
-          p.PutString(requirements[gi].ToString());
-        }
-        batch.payload = std::make_shared<const std::string>(p.Release());
-        batches.push_back(std::move(batch));
-        batch_target.push_back(target);
+    std::vector<std::string> roots = core::AnalysisRoots(schema, *user);
+    std::string signature = SignatureFromRoots(roots, closure);
+    auto [it, inserted] = group_of.emplace(signature, groups.size());
+    if (inserted) {
+      groups.push_back(Group{std::move(roots), signature, {}});
+    }
+    groups[it->second].indices.push_back(i);
+  }
+  for (const Group& group : groups) {
+    const size_t target =
+        static_cast<size_t>(ShardOf(group.signature, worker_count));
+    for (size_t begin = 0; begin < group.indices.size(); begin += batch_cap) {
+      const size_t end = std::min(begin + batch_cap, group.indices.size());
+      Batch batch;
+      batch.indices.assign(group.indices.begin() + begin,
+                           group.indices.begin() + end);
+      ByteWriter p;
+      p.PutU32(static_cast<uint32_t>(plan.batches.size()));
+      p.PutU32(static_cast<uint32_t>(group.roots.size()));
+      for (const std::string& root : group.roots) p.PutString(root);
+      p.PutU32(static_cast<uint32_t>(batch.indices.size()));
+      for (size_t gi : batch.indices) {
+        p.PutU32(static_cast<uint32_t>(gi));
+        p.PutString(requirements[gi].ToString());
       }
+      batch.payload = std::make_shared<const std::string>(p.Release());
+      plan.batches.push_back(std::move(batch));
+      plan.target.push_back(target);
     }
   }
+  return plan;
+}
 
+// The outcome of a plan with no batches, reached without contacting a
+// worker: its earliest failure, or an empty result.
+common::Result<ShardedBatchResult> NothingToRun(Plan plan,
+                                                size_t worker_count) {
+  if (plan.failure.has_value()) return std::move(plan.failure->status);
   ShardedBatchResult result;
-  result.shard_stats.resize(options_.workers.size());
-  result.shard_requirements.resize(options_.workers.size());
-  if (batches.empty()) {
-    if (failure.has_value()) return std::move(failure->status);
-    return result;
-  }
+  result.shard_stats.resize(worker_count);
+  result.shard_requirements.resize(worker_count);
+  return result;
+}
 
-  // Dial + hello, blocking per worker. A failed dial marks the worker
-  // dead from the start (its batches route to survivors); a *refused*
-  // hello is a configuration error and fails the run — a version or
-  // fingerprint mismatch will not heal by retrying.
+std::string HelloPayload(const schema::Schema& schema,
+                         const core::ClosureOptions& closure,
+                         const snapshot::StoreServer& store_server,
+                         bool save_snapshots) {
   HelloRequest hello;
   hello.version = net::kProtocolVersion;
   hello.byte_order = snapshot::kByteOrderMark;
-  hello.fingerprint = snapshot::SchemaFingerprint(schema, options_.closure);
-  hello.store_port = store_server_started_ ? store_server_.port() : 0;
-  hello.save_snapshots = options_.save_snapshots;
-  const std::string hello_payload = EncodeHello(hello);
+  hello.fingerprint = snapshot::SchemaFingerprint(schema, closure);
+  hello.store_port = store_server.running() ? store_server.port() : 0;
+  hello.save_snapshots = save_snapshots;
+  return EncodeHello(hello);
+}
 
-  std::vector<WorkerConn> workers(options_.workers.size());
-  size_t alive_count = 0;
-  for (size_t wi = 0; wi < workers.size(); ++wi) {
-    WorkerConn& w = workers[wi];
-    w.address = options_.workers[wi];
-    auto dialed = net::Dial(w.address, options_.dial);
-    if (!dialed.ok()) {
-      if (obs != nullptr) {
-        obs->metrics.counter("net.dial_failures")->Increment();
-      }
-      continue;
-    }
-    w.sock = std::move(dialed).value();
-    if (!net::WriteFrame(w.sock.fd(), FrameType::kHello, hello_payload,
-                         options_.io_timeout_ms)
+// Sends the hello to every connected worker, then reads the acks
+// (blocking), so the workers answer in parallel. An accepted worker
+// goes nonblocking and joins the fleet; a broken connection leaves it
+// dead (its batches route to survivors). A *refused* hello is a
+// configuration error and is returned — a version or fingerprint
+// mismatch will not heal by retrying.
+common::Status Handshake(std::vector<WorkerConn>& workers,
+                         std::string_view hello, int timeout_ms) {
+  for (WorkerConn& w : workers) {
+    if (w.sock.valid() &&
+        !net::WriteFrame(w.sock.fd(), FrameType::kHello, hello, timeout_ms)
              .ok()) {
       w.sock.Close();
-      continue;
     }
+  }
+  for (WorkerConn& w : workers) {
+    if (!w.sock.valid()) continue;
     Frame ack;
-    if (!net::ReadFrame(w.sock.fd(), &ack, options_.io_timeout_ms).ok() ||
+    if (!net::ReadFrame(w.sock.fd(), &ack, timeout_ms).ok() ||
         ack.type != FrameType::kHelloAck) {
       w.sock.Close();
       continue;
@@ -471,7 +455,7 @@ common::Result<ShardedBatchResult> TcpTransport::Run(
     ByteReader r(ack.payload);
     uint8_t accepted = r.GetU8();
     std::string message = r.GetString();
-    if (!r.ok() || !r.exhausted()) {
+    if (!r.exhausted()) {
       w.sock.Close();
       continue;
     }
@@ -482,18 +466,34 @@ common::Result<ShardedBatchResult> TcpTransport::Run(
     net::SetNonBlocking(w.sock.fd(), true);
     w.alive = true;
     w.last_progress = Clock::now();
-    ++alive_count;
-    if (obs != nullptr) obs->metrics.counter("shard.workers")->Increment();
   }
+  return common::Status::Ok();
+}
+
+// Runs a planned audit over handshaken workers: routes every batch,
+// pumps the live workers from one poll loop, re-queues a dead
+// worker's batches, and merges.
+common::Result<ShardedBatchResult> Coordinate(
+    const std::vector<core::Requirement>& requirements, Plan plan,
+    std::vector<WorkerConn>& workers, int max_in_flight, int io_timeout_ms,
+    obs::Observability* obs) {
+  const int in_flight_cap = max_in_flight < 1 ? 1 : max_in_flight;
+  const size_t n = requirements.size();
+  std::vector<Batch>& batches = plan.batches;
+  std::optional<Failure>& failure = plan.failure;
+  size_t alive_count = 0;
+  for (const WorkerConn& w : workers) alive_count += w.alive ? 1 : 0;
   if (alive_count == 0) {
-    return common::InternalError(
-        "tcp shard: no worker could be dialed");
+    return common::InternalError("tcp shard: no worker could be reached");
+  }
+  if (obs != nullptr) {
+    obs->metrics.counter("shard.workers")->Increment(alive_count);
   }
 
   // Route each batch to its signature's worker, spilling batches whose
   // target never connected to the least-loaded survivor.
   for (size_t b = 0; b < batches.size(); ++b) {
-    WorkerConn* target = &workers[batch_target[b]];
+    WorkerConn* target = &workers[plan.target[b]];
     if (!target->alive) {
       target = nullptr;
       for (WorkerConn& w : workers) {
@@ -630,7 +630,7 @@ common::Result<ShardedBatchResult> TcpTransport::Run(
     for (WorkerConn& w : workers) {
       if (w.alive && w.pending_work() &&
           now - w.last_progress >
-              std::chrono::milliseconds(options_.io_timeout_ms)) {
+              std::chrono::milliseconds(io_timeout_ms)) {
         kill_worker(w, "no progress before timeout");
       }
     }
@@ -648,6 +648,9 @@ common::Result<ShardedBatchResult> TcpTransport::Run(
   }
   if (!fatal.ok()) return fatal;
 
+  ShardedBatchResult result;
+  result.shard_stats.resize(workers.size());
+  result.shard_requirements.resize(workers.size());
   for (size_t wi = 0; wi < workers.size(); ++wi) {
     result.shard_stats[wi] = workers[wi].stats;
     result.shard_requirements[wi] = workers[wi].acked_requirements;
@@ -672,6 +675,60 @@ common::Result<ShardedBatchResult> TcpTransport::Run(
     result.reports.push_back(std::move(*assembled[i]));
   }
   return result;
+}
+
+}  // namespace
+
+TcpTransport::TcpTransport(TcpTransportOptions options)
+    : options_(std::move(options)) {}
+
+TcpTransport::~TcpTransport() { store_server_.Stop(); }
+
+common::Result<ShardedBatchResult> TcpTransport::Run(
+    const schema::Schema& schema, const schema::UserRegistry& users,
+    const std::vector<core::Requirement>& requirements,
+    obs::Observability* obs) {
+  if (options_.workers.empty()) {
+    return common::InvalidArgumentError("tcp shard: no workers configured");
+  }
+  obs::Tracer* tracer = obs != nullptr ? &obs->tracer : nullptr;
+  obs::ScopedSpan batch_span(tracer, "tcp.batch");
+
+  // The networked snapshot tier: front the coordinator's store once,
+  // advertise the port in every hello.
+  if (options_.snapshot_store != nullptr && !store_server_.running()) {
+    common::Status started = store_server_.Start(
+        schema, options_.closure, options_.snapshot_store, /*port=*/0);
+    if (!started.ok()) return started;
+  }
+
+  Plan plan = PlanBatches(schema, users, requirements, options_.closure,
+                          static_cast<int>(options_.workers.size()),
+                          options_.max_batch_requirements, tracer);
+  if (plan.batches.empty()) {
+    return NothingToRun(std::move(plan), options_.workers.size());
+  }
+
+  // Dial every worker; a failed dial marks the worker dead from the
+  // start.
+  std::vector<WorkerConn> workers(options_.workers.size());
+  for (size_t wi = 0; wi < workers.size(); ++wi) {
+    WorkerConn& w = workers[wi];
+    w.address = options_.workers[wi];
+    auto dialed = net::Dial(w.address, options_.dial);
+    if (dialed.ok()) {
+      w.sock = std::move(dialed).value();
+    } else if (obs != nullptr) {
+      obs->metrics.counter("net.dial_failures")->Increment();
+    }
+  }
+  OODBSEC_RETURN_IF_ERROR(Handshake(
+      workers,
+      HelloPayload(schema, options_.closure, store_server_,
+                   options_.save_snapshots),
+      options_.io_timeout_ms));
+  return Coordinate(requirements, std::move(plan), workers,
+                    options_.max_in_flight, options_.io_timeout_ms, obs);
 }
 
 // --- worker ----------------------------------------------------------
@@ -777,7 +834,7 @@ class FrameReader {
 };
 
 // Per-connection audit state living across batches; the cache (and its
-// mounted store) can outlive connections — see ServeShardWorker.
+// mounted store) can outlive connections — see ShardWorker.
 struct WorkerAudit {
   core::ClosureCache* cache = nullptr;
   bool save_snapshots = false;
@@ -842,8 +899,8 @@ common::Status ProcessBatch(std::string_view payload, WorkerAudit& audit,
     audit.cache->Insert(entry);
     if (audit.save_snapshots &&
         audit.cache->snapshot_store() != nullptr) {
-      // Best-effort persistence, like the fork workers: a full disk or
-      // an unreachable store must not fail the audit.
+      // Best-effort persistence: a full disk or an unreachable store
+      // must not fail the audit.
       audit.cache->SaveCacheSnapshot(*entry).ok();
     }
   }
@@ -865,43 +922,29 @@ common::Status ProcessBatch(std::string_view payload, WorkerAudit& audit,
   return common::Status::Ok();
 }
 
-}  // namespace
+// One worker: the per-connection protocol plus what it keeps across
+// connections — the L1 cache (exact hits across repeat audits) and
+// the remote store it mounted (connection reuse).
+class ShardWorker {
+ public:
+  ShardWorker(const schema::Schema& schema, const TcpWorkerOptions& options)
+      : schema_(schema),
+        options_(options),
+        fingerprint_(snapshot::SchemaFingerprint(schema, options.closure)) {}
 
-common::Status ServeShardWorker(net::Listener& listener,
-                                const schema::Schema& schema,
-                                const TcpWorkerOptions& options,
-                                const std::atomic<bool>* stop) {
-  if (!listener.valid()) {
-    return common::InvalidArgumentError("tcp worker: invalid listener");
-  }
-  const uint64_t fingerprint =
-      snapshot::SchemaFingerprint(schema, options.closure);
-
-  // Survives connections: the L1 cache (exact hits across repeat
-  // audits) and the mounted remote store (connection reuse).
-  std::unique_ptr<core::ClosureCache> cache;
-  std::shared_ptr<snapshot::SnapshotStore> mounted_store;
-  std::string mounted_endpoint;
-
-  for (;;) {
-    if (stop != nullptr && stop->load()) return common::Status::Ok();
-    auto accepted = listener.Accept(/*timeout_ms=*/200);
-    if (!accepted.ok()) {
-      if (accepted.status().code() ==
-          common::StatusCode::kFailedPrecondition) {
-        continue;  // accept timeout: re-check the stop flag
-      }
-      return accepted.status();
-    }
-    net::Socket conn = std::move(accepted).value();
-
+  // Serves one coordinator connection to its end: the hello, the L2
+  // mount, the batch loop and the closing kStats. Returns false when
+  // `stop` went true mid-connection.
+  bool Serve(int fd, const std::atomic<bool>* stop) {
     // Hello: refuse version, endianness, or fingerprint mismatches
     // with a specific message; the coordinator surfaces it verbatim.
     Frame frame;
-    if (WaitReadableOrStop(conn.fd(), options.io_timeout_ms, stop) != 1 ||
-        !net::ReadFrame(conn.fd(), &frame, options.io_timeout_ms).ok() ||
+    const int ready = WaitReadableOrStop(fd, options_.io_timeout_ms, stop);
+    if (ready == 0) return false;
+    if (ready != 1 ||
+        !net::ReadFrame(fd, &frame, options_.io_timeout_ms).ok() ||
         frame.type != FrameType::kHello) {
-      continue;
+      return true;
     }
     HelloRequest hello;
     std::string refuse;
@@ -913,52 +956,45 @@ common::Status ServeShardWorker(net::Listener& listener,
                               net::kProtocolVersion, ")");
     } else if (hello.byte_order != snapshot::kByteOrderMark) {
       refuse = "byte-order mismatch (foreign-endian peer)";
-    } else if (hello.fingerprint != fingerprint) {
+    } else if (hello.fingerprint != fingerprint_) {
       refuse = "schema fingerprint mismatch (different schema or options)";
     }
     ByteWriter ack;
     ack.PutU8(refuse.empty() ? 1 : 0);
     ack.PutString(refuse);
-    if (!net::WriteFrame(conn.fd(), FrameType::kHelloAck, ack.buffer(),
-                         options.io_timeout_ms)
+    if (!net::WriteFrame(fd, FrameType::kHelloAck, ack.buffer(),
+                         options_.io_timeout_ms)
              .ok() ||
         !refuse.empty()) {
-      continue;
+      return true;
     }
 
     // Mount the L2 tier: a local store wins; otherwise the
     // coordinator's advertised store port, as a remote client.
-    std::shared_ptr<snapshot::SnapshotStore> store = options.snapshot_store;
-    if (store == nullptr && options.mount_remote_store &&
-        hello.store_port != 0) {
-      std::string endpoint = common::StrCat(PeerHost(conn.fd()), ":",
-                                            hello.store_port);
-      if (endpoint != mounted_endpoint || mounted_store == nullptr) {
+    std::shared_ptr<snapshot::SnapshotStore> store = options_.snapshot_store;
+    if (store == nullptr && hello.store_port != 0) {
+      std::string endpoint =
+          common::StrCat(PeerHost(fd), ":", hello.store_port);
+      if (endpoint != mounted_endpoint_ || mounted_store_ == nullptr) {
         snapshot::RemoteStoreOptions remote;
-        remote.io_timeout_ms = options.io_timeout_ms;
-        mounted_store = snapshot::OpenRemoteStore(endpoint, remote);
-        mounted_endpoint = std::move(endpoint);
-        cache.reset();  // a different tier invalidates the warm cache
+        remote.io_timeout_ms = options_.io_timeout_ms;
+        mounted_store_ = snapshot::OpenRemoteStore(endpoint, remote);
+        mounted_endpoint_ = std::move(endpoint);
+        cache_.reset();  // a different tier invalidates the warm cache
       }
-      store = mounted_store;
-    } else if (store == options.snapshot_store && mounted_store != nullptr &&
-               options.snapshot_store != nullptr) {
-      // Local store configured: the remote mount is never used.
-      mounted_store.reset();
-      mounted_endpoint.clear();
+      store = mounted_store_;
     }
-    if (cache == nullptr || !options.persistent_cache) {
-      cache = std::make_unique<core::ClosureCache>(
-          schema, options.closure, options.cache_capacity,
+    if (cache_ == nullptr || !options_.persistent_cache) {
+      cache_ = std::make_unique<core::ClosureCache>(
+          schema_, options_.closure, options_.cache_capacity,
           /*obs=*/nullptr, store);
     }
 
     WorkerAudit audit;
-    audit.cache = cache.get();
+    audit.cache = cache_.get();
     audit.save_snapshots = hello.save_snapshots;
     int batches_served = 0;
-    bool abort_connection = false;
-    FrameReader reader(conn.fd());
+    FrameReader reader(fd);
     // Replies accumulate here while further batches are already
     // buffered and flush in one write when the stream drains — the
     // reply-side syscall amortization matching the reader's. Lockstep
@@ -967,36 +1003,36 @@ common::Status ServeShardWorker(net::Listener& listener,
     std::string pending_replies;
     auto flush_replies = [&]() {
       if (pending_replies.empty()) return true;
-      bool ok = net::WriteFullTimeout(conn.fd(), pending_replies.data(),
+      bool ok = net::WriteFullTimeout(fd, pending_replies.data(),
                                       pending_replies.size(),
-                                      options.io_timeout_ms);
+                                      options_.io_timeout_ms);
       pending_replies.clear();
       return ok;
     };
     for (;;) {
       bool stopped = false;
-      if (!reader.Next(&frame, options.io_timeout_ms, stop, &stopped).ok()) {
-        if (stopped) return common::Status::Ok();
-        break;  // clean close, torn frame, or stall: drop the connection
+      if (!reader.Next(&frame, options_.io_timeout_ms, stop, &stopped).ok()) {
+        // Stopped, or a clean close, torn frame or stall: drop the
+        // connection.
+        return !stopped;
       }
       if (frame.type == FrameType::kBatch) {
         FrameType reply_type = FrameType::kReports;
         std::string reply;
         if (!ProcessBatch(frame.payload, audit, &reply_type, &reply).ok()) {
-          break;
+          return true;
         }
         pending_replies += net::EncodeFrameHeader(reply_type, reply);
         pending_replies += reply;
         if ((!reader.more_buffered() ||
              pending_replies.size() >= (256u << 10)) &&
             !flush_replies()) {
-          break;
+          return true;
         }
         ++batches_served;
-        if (options.abort_after_batches > 0 &&
-            batches_served >= options.abort_after_batches) {
-          abort_connection = true;  // test seam: die without kStats
-          break;
+        if (options_.abort_after_batches > 0 &&
+            batches_served >= options_.abort_after_batches) {
+          return true;  // test seam: the drop without kStats is the death
         }
         continue;
       }
@@ -1007,12 +1043,131 @@ common::Status ServeShardWorker(net::Listener& listener,
                                                   w.buffer());
         pending_replies += w.buffer();
         flush_replies();
-        break;
       }
-      break;  // protocol violation: drop the connection
+      return true;  // done, or a protocol violation: drop the connection
     }
-    (void)abort_connection;  // the drop itself is the simulated death
   }
+
+ private:
+  const schema::Schema& schema_;
+  const TcpWorkerOptions& options_;
+  const uint64_t fingerprint_;
+  std::unique_ptr<core::ClosureCache> cache_;
+  std::shared_ptr<snapshot::SnapshotStore> mounted_store_;
+  std::string mounted_endpoint_;
+};
+
+}  // namespace
+
+common::Status ServeShardWorker(net::Listener& listener,
+                                const schema::Schema& schema,
+                                const TcpWorkerOptions& options,
+                                const std::atomic<bool>* stop) {
+  if (!listener.valid()) {
+    return common::InvalidArgumentError("tcp worker: invalid listener");
+  }
+  ShardWorker worker(schema, options);
+  for (;;) {
+    if (stop != nullptr && stop->load()) return common::Status::Ok();
+    auto accepted = listener.Accept(/*timeout_ms=*/200);
+    if (!accepted.ok()) {
+      if (accepted.status().code() ==
+          common::StatusCode::kFailedPrecondition) {
+        continue;  // accept timeout: re-check the stop flag
+      }
+      return accepted.status();
+    }
+    net::Socket conn = std::move(accepted).value();
+    if (!worker.Serve(conn.fd(), stop)) return common::Status::Ok();
+  }
+}
+
+// --- fork launcher ---------------------------------------------------
+
+ForkTransport::ForkTransport(ForkTransportOptions options)
+    : options_(std::move(options)) {}
+
+common::Result<ShardedBatchResult> ForkTransport::Run(
+    const schema::Schema& schema, const schema::UserRegistry& users,
+    const std::vector<core::Requirement>& requirements,
+    obs::Observability* obs) {
+  if (options_.shard_count < 1) {
+    return common::InvalidArgumentError("shard_count must be >= 1");
+  }
+  const size_t shards = static_cast<size_t>(options_.shard_count);
+  const TcpTransportOptions defaults;
+  obs::Tracer* tracer = obs != nullptr ? &obs->tracer : nullptr;
+  obs::ScopedSpan batch_span(tracer, "tcp.batch");
+  Plan plan = PlanBatches(schema, users, requirements, options_.closure,
+                          options_.shard_count,
+                          defaults.max_batch_requirements, tracer);
+  if (plan.batches.empty()) return NothingToRun(std::move(plan), shards);
+
+  // Everything below is undone by the destructor on every return path:
+  // the coordinator's socket ends close (a child still waiting for a
+  // frame sees EOF and exits), the server stops, every child is
+  // reaped.
+  struct Fleet {
+    std::vector<WorkerConn> workers;
+    std::vector<pid_t> children;
+    snapshot::StoreServer store_server;
+    Fleet() = default;
+    Fleet(const Fleet&) = delete;
+    Fleet& operator=(const Fleet&) = delete;
+    ~Fleet() {
+      for (WorkerConn& w : workers) w.sock.Close();
+      store_server.Stop();
+      for (pid_t pid : children) {
+        while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+        }
+      }
+    }
+  } fleet;
+  fleet.workers.resize(shards);
+  // Memoize the schema digest once here; each child inherits it instead
+  // of printing every function body again before it can answer.
+  snapshot::SchemaFingerprint(schema, options_.closure);
+  TcpWorkerOptions worker_options;
+  worker_options.closure = options_.closure;
+  for (size_t s = 0; s < shards; ++s) {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      return common::InternalError("shard: socketpair() failed");
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      return common::InternalError("shard: fork() failed");
+    }
+    if (pid == 0) {
+      // Child: keep only its own end, serve the one connection on it,
+      // and _exit without running the parent's destructors or
+      // flushing inherited stdio buffers twice.
+      ::close(fds[0]);
+      for (size_t k = 0; k < s; ++k) ::close(fleet.workers[k].sock.fd());
+      ShardWorker(schema, worker_options).Serve(fds[1], nullptr);
+      ::_exit(0);
+    }
+    ::close(fds[1]);
+    fleet.children.push_back(pid);
+    fleet.workers[s].address = common::StrCat("fork shard ", s);
+    fleet.workers[s].sock = net::Socket(fds[0]);
+  }
+
+  // Only now, with every child forked from a single-threaded image,
+  // may the store server start its threads.
+  if (options_.snapshot_store != nullptr) {
+    OODBSEC_RETURN_IF_ERROR(fleet.store_server.Start(
+        schema, options_.closure, options_.snapshot_store, /*port=*/0));
+  }
+  OODBSEC_RETURN_IF_ERROR(Handshake(
+      fleet.workers,
+      HelloPayload(schema, options_.closure, fleet.store_server,
+                   options_.save_snapshots),
+      defaults.io_timeout_ms));
+  return Coordinate(requirements, std::move(plan), fleet.workers,
+                    defaults.max_in_flight, defaults.io_timeout_ms, obs);
 }
 
 }  // namespace oodbsec::service

@@ -1,12 +1,17 @@
-// TCP shard transport: the distributed audit over real sockets.
+// The shard protocol: one coordinator, one worker loop, two launchers.
 //
-// The fork transport (service/shard.h) tops out at one machine: workers
-// are children of the coordinator and inherit the schema by
-// copy-on-write. This transport speaks the same partitioned audit over
-// TCP — a coordinator dials a static worker list, streams
-// signature-coalesced requirement batches as length-prefixed binio
-// frames (net/frame.h), and merges the reply stream into a result
-// byte-identical to RunShardedBatch and single-process CheckBatch.
+// The partitioned audit of service/shard.h runs over exactly one
+// protocol. A coordinator plans signature-coalesced requirement
+// batches, streams them as length-prefixed binio frames (net/frame.h)
+// to its workers, and merges the reply stream into a result
+// byte-identical to single-process CheckBatch. Two launchers connect
+// the coordinator to workers; neither changes a byte on the wire:
+//
+//   * TcpTransport dials a static fleet of ServeShardWorker processes
+//     ("host:port"), across machines.
+//   * ForkTransport forks its workers for each Run, and each child
+//     serves exactly one connection on its end of a socketpair, then
+//     exits. Children inherit the schema by copy-on-write.
 //
 // What makes it fast rather than merely remote:
 //
@@ -16,8 +21,8 @@
 //     its socket buffer instead of idling a round trip plus the
 //     coordinator's service latency. The coordinator pumps every
 //     worker from one poll() loop over nonblocking sockets: a
-//     per-worker outbox of encoded frames drains through writev
-//     gather (header and payload from their own buffers — bytes are
+//     per-worker outbox of encoded frames drains through a gather
+//     write (header and payload from their own buffers — bytes are
 //     serialized exactly once), a per-worker inbox reassembles frames
 //     from whatever read() delivered.
 //   * Batch coalescing. Requirements sharing a capability signature
@@ -25,7 +30,7 @@
 //     signature's closure crosses the planning path once per worker;
 //     all chunks of a signature route to one worker (ShardOf) for
 //     cache affinity.
-//   * Connection reuse. One connection per worker per Run; workers
+//   * Connection reuse. One connection per worker per Run; TCP workers
 //     keep their L1 closure cache across connections (persistent_cache)
 //     so a warmed fleet answers repeat audits at exact-hit speed.
 //
@@ -50,12 +55,15 @@
 // so its counters are missing from merged_stats; the reports are the
 // contract.)
 //
-// The networked snapshot tier: with serve_snapshot_store set and a
-// store configured, the coordinator fronts its store with a
-// snapshot::StoreServer and advertises the port in its hello; workers
-// without a local store mount it as a RemoteSnapshotStore, so a fresh
-// fleet warms from the coordinator's packed segment without any file
-// distribution, and (save_snapshots) persists what it builds back.
+// The networked snapshot tier: when a store is configured, the
+// coordinator fronts it with a snapshot::StoreServer (ephemeral
+// loopback port) and advertises the port in its hello. A worker
+// without a local store mounts it as a RemoteSnapshotStore, so a fresh
+// fleet warms from the coordinator's pack without any file
+// distribution and (save_snapshots) persists what it builds back
+// through the server. Forked workers always mount it this way (a
+// socketpair peer dials the server on 127.0.0.1), which keeps the
+// server the pack's only writer.
 #ifndef OODBSEC_SERVICE_TCP_SHARD_H_
 #define OODBSEC_SERVICE_TCP_SHARD_H_
 
@@ -63,7 +71,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -93,51 +100,79 @@ struct TcpTransportOptions {
   // progress for this long is declared dead and its batches re-queued.
   int io_timeout_ms = 30000;
   net::DialOptions dial;
-  // Coordinator-side snapshot store. With serve_snapshot_store, Run
-  // fronts it with a StoreServer (ephemeral loopback port, advertised
-  // in the hello) for workers to mount remotely.
+  // Coordinator-side snapshot store, served to the workers (see the
+  // networked snapshot tier above).
   std::shared_ptr<snapshot::SnapshotStore> snapshot_store;
-  bool serve_snapshot_store = true;
   // Ask workers to persist closures they build (through their mounted
   // store — for remote mounts the bytes land in the coordinator's
   // store via kStoreSave).
   bool save_snapshots = false;
 };
 
-// The TCP coordinator behind the ShardTransport seam. Uses threads
-// (the store server); create fork transports before this one when a
-// process mixes both (fork() wants a single-threaded image).
-class TcpTransport : public ShardTransport {
+// The coordinator over a dialed TCP fleet. Uses threads (the store
+// server, started on the first Run with a store and kept up across
+// runs; the fingerprint it pins is that run's schema): run every
+// ForkTransport in the process before this one starts its server
+// (fork() wants a single-threaded image).
+class TcpTransport {
  public:
   explicit TcpTransport(TcpTransportOptions options);
-  ~TcpTransport() override;
+  ~TcpTransport();
 
-  std::string_view name() const override { return "tcp"; }
   common::Result<ShardedBatchResult> Run(
       const schema::Schema& schema, const schema::UserRegistry& users,
       const std::vector<core::Requirement>& requirements,
-      obs::Observability* obs) override;
+      obs::Observability* obs);
 
  private:
   TcpTransportOptions options_;
   snapshot::StoreServer store_server_;
-  // The store server binds lazily on first Run (it needs the schema)
-  // and stays up across runs; the fingerprint it pins is the first
-  // run's schema.
-  bool store_server_started_ = false;
+};
+
+struct ForkTransportOptions {
+  // Worker processes forked per Run. 1 still forks (uniform code path).
+  int shard_count = 4;
+  // Fixpoint semantics, shared by the coordinator's plan and every
+  // worker. closure.closure_threads parallelises each fixpoint inside
+  // a worker (reports stay byte-identical; it is not part of any cache
+  // key).
+  core::ClosureOptions closure;
+  // Served to the workers over loopback for the duration of each Run.
+  std::shared_ptr<snapshot::SnapshotStore> snapshot_store;
+  // Workers persist every closure they build through that server.
+  bool save_snapshots = false;
+};
+
+// The coordinator over forked workers. Each Run plans, forks
+// shard_count children (one socketpair each), starts the store server
+// only after the last fork, coordinates, and before returning — on
+// every path — stops the server, closes its socket ends and reaps
+// every child. fork() is only safe from a single-threaded process
+// image: call Run before any other thread exists (the coordinator
+// leaves none behind).
+class ForkTransport {
+ public:
+  explicit ForkTransport(ForkTransportOptions options);
+
+  common::Result<ShardedBatchResult> Run(
+      const schema::Schema& schema, const schema::UserRegistry& users,
+      const std::vector<core::Requirement>& requirements,
+      obs::Observability* obs);
+
+ private:
+  ForkTransportOptions options_;
 };
 
 struct TcpWorkerOptions {
   core::ClosureOptions closure;
   size_t cache_capacity = core::ClosureCache::kDefaultCapacity;
   // Local store (L2). When null and the coordinator advertises a store
-  // port, a RemoteSnapshotStore is mounted instead (mount_remote_store).
+  // port, a RemoteSnapshotStore is mounted instead.
   std::shared_ptr<snapshot::SnapshotStore> snapshot_store;
-  bool mount_remote_store = true;
   int io_timeout_ms = 30000;
   // Keep the L1 cache across connections (the warmed-fleet behaviour).
   // The cache is dropped anyway when a new connection mounts a
-  // different store or schema fingerprint.
+  // different store.
   bool persistent_cache = true;
   // Test seam: serve this many batches on a connection, then drop it
   // without kStats — a worker dying mid-audit. 0 = never.

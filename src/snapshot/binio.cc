@@ -35,19 +35,4 @@ bool WriteFull(int fd, const void* buf, size_t n) {
   return true;
 }
 
-std::string ReadToEof(int fd) {
-  std::string data;
-  char buf[64 << 10];
-  for (;;) {
-    ssize_t got = ::read(fd, buf, sizeof buf);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (got == 0) break;
-    data.append(buf, static_cast<size_t>(got));
-  }
-  return data;
-}
-
 }  // namespace oodbsec::snapshot

@@ -131,12 +131,10 @@ inline uint64_t Fnv1a64(std::string_view data, uint64_t seed = 0xcbf29ce48422232
 // first place. Stream fds deliver *short* reads and writes routinely —
 // a socket hands back whatever one TCP segment carried, a signal
 // interrupts a pipe read with EINTR mid-transfer — so every network or
-// pipe consumer must loop. These are the one shared loop (the fork
-// shard pipes, the TCP shard frames, and the remote snapshot tier all
-// sit on them), exercised by the dribbling-pipe test in net_test.
-//
-// Blocking fds only; the deadline-bounded variants for nonblocking
-// sockets live in net/socket.h.
+// pipe consumer must loop. These loops are for blocking fds (the
+// dribbling-pipe tests in net_test exercise them); the shard and
+// remote-store frames use the deadline-bounded variants of
+// net/socket.h.
 
 // Reads exactly `n` bytes, retrying short reads and EINTR. False on
 // EOF-before-n or a real error (errno preserved from the failing call).
@@ -148,10 +146,6 @@ bool WriteFull(int fd, const void* buf, size_t n);
 inline bool WriteFull(int fd, std::string_view data) {
   return WriteFull(fd, data.data(), data.size());
 }
-
-// Reads `fd` to EOF (growing the result), retrying EINTR. Used by the
-// fork shard coordinator, whose worker messages are EOF-delimited.
-std::string ReadToEof(int fd);
 
 }  // namespace oodbsec::snapshot
 

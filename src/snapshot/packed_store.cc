@@ -6,10 +6,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <list>
 #include <map>
 #include <mutex>
@@ -383,8 +381,7 @@ bool LoadIndex(std::string_view file, PackIndex* index,
 
 // ---- the store ---------------------------------------------------------
 
-class PackedStore final : public SnapshotStore,
-                          public std::enable_shared_from_this<PackedStore> {
+class PackedStore final : public SnapshotStore {
  public:
   PackedStore(std::string path, size_t page_cache_capacity)
       : path_(std::move(path)),
@@ -453,15 +450,10 @@ class PackedStore final : public SnapshotStore,
       const std::vector<std::string>& roots, obs::Observability* obs) override {
     uint64_t fingerprint = SchemaFingerprint(schema, options);
     uint64_t key = SnapshotKeyHash(options, roots);
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     auto probed = ProbeLocked(key, fingerprint);
     if (!probed.ok()) return probed.status();
-    if (probed.value() == nullptr) {
-      lock.unlock();
-      // Worker overlay: reads fall through to the parent segment.
-      if (base_ != nullptr) return base_->Find(schema, options, roots, obs);
-      return NoRecord();
-    }
+    if (probed.value() == nullptr) return NoRecord();
     if (std::shared_ptr<const core::CachedAnalysis> hot =
             PageLookupLocked(key, fingerprint, roots)) {
       ++page_hits_;
@@ -488,14 +480,10 @@ class PackedStore final : public SnapshotStore,
       const std::vector<std::string>& roots) override {
     uint64_t fingerprint = SchemaFingerprint(schema, options);
     uint64_t key = SnapshotKeyHash(options, roots);
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     auto probed = ProbeLocked(key, fingerprint);
     if (!probed.ok()) return probed.status();
-    if (probed.value() == nullptr) {
-      lock.unlock();
-      if (base_ != nullptr) return base_->FindRecord(schema, options, roots);
-      return NoRecord();
-    }
+    if (probed.value() == nullptr) return NoRecord();
     OODBSEC_ASSIGN_OR_RETURN(std::string_view bytes,
                              MappedRecordLocked(*probed.value()));
     return std::string(bytes);
@@ -678,140 +666,24 @@ class PackedStore final : public SnapshotStore,
       size_t limit, size_t* invalid, obs::Observability* obs) override {
     uint64_t fingerprint = SchemaFingerprint(schema, options);
     std::vector<std::shared_ptr<const core::CachedAnalysis>> entries;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      last_fingerprint_ = fingerprint;
-      has_fingerprint_ = true;
-      for (const auto& [key, meta] : index_) {  // key order: deterministic
-        if (entries.size() >= limit) break;
-        if (meta.fingerprint != fingerprint) {
-          if (invalid != nullptr) ++*invalid;
-          continue;
-        }
-        auto decoded = DecodeLocked(meta, schema, options, obs);
-        if (!decoded.ok()) {
-          if (invalid != nullptr) ++*invalid;
-          continue;
-        }
-        PageInsertLocked(key, fingerprint, decoded.value());
-        entries.push_back(std::move(decoded).value());
+    std::lock_guard<std::mutex> lock(mu_);
+    last_fingerprint_ = fingerprint;
+    has_fingerprint_ = true;
+    for (const auto& [key, meta] : index_) {  // key order: deterministic
+      if (entries.size() >= limit) break;
+      if (meta.fingerprint != fingerprint) {
+        if (invalid != nullptr) ++*invalid;
+        continue;
       }
-    }
-    if (base_ != nullptr && entries.size() < limit) {
-      // Worker overlay: surface the parent's entries too, own side
-      // segment winning on a shared signature.
-      std::vector<std::shared_ptr<const core::CachedAnalysis>> below =
-          base_->LoadAll(schema, options, limit - entries.size(), invalid,
-                         obs);
-      std::lock_guard<std::mutex> lock(mu_);
-      for (auto& entry : below) {
-        if (index_.count(SnapshotKeyHash(options, entry->roots)) != 0) {
-          continue;
-        }
-        entries.push_back(std::move(entry));
+      auto decoded = DecodeLocked(meta, schema, options, obs);
+      if (!decoded.ok()) {
+        if (invalid != nullptr) ++*invalid;
+        continue;
       }
+      PageInsertLocked(key, fingerprint, decoded.value());
+      entries.push_back(std::move(decoded).value());
     }
     return entries;
-  }
-
-  common::Result<std::shared_ptr<SnapshotStore>> ForkWorker(
-      int worker_id) override {
-    std::string side_path = common::StrCat(path_, ".worker.", worker_id);
-    // A side segment surviving a killed fleet belongs to a dead worker;
-    // its records were either merged or are stale. Start clean.
-    std::error_code ec;
-    std::filesystem::remove(side_path, ec);
-    auto side = std::make_shared<PackedStore>(std::move(side_path),
-                                              page_cache_capacity_);
-    common::Status status = side->OpenFile();
-    if (!status.ok()) return status;
-    side->base_ = shared_from_this();
-    return std::shared_ptr<SnapshotStore>(std::move(side));
-  }
-
-  common::Status MergeWorkers() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::filesystem::path self(path_);
-    std::filesystem::path dir = self.parent_path();
-    if (dir.empty()) dir = ".";
-    std::string prefix = self.filename().string() + ".worker.";
-    std::vector<std::pair<unsigned, std::string>> sides;
-    std::error_code ec;
-    for (const auto& dirent : std::filesystem::directory_iterator(dir, ec)) {
-      std::string name = dirent.path().filename().string();
-      if (name.size() <= prefix.size() ||
-          name.compare(0, prefix.size(), prefix) != 0) {
-        continue;
-      }
-      // A worker id, digits only: tmp files and ids that overflow are
-      // debris (ForkWorker only ever writes a small id).
-      std::string_view suffix = std::string_view(name).substr(prefix.size());
-      unsigned worker_id = 0;
-      auto [end, error] = std::from_chars(
-          suffix.data(), suffix.data() + suffix.size(), worker_id);
-      if (error != std::errc() || end != suffix.data() + suffix.size()) {
-        continue;
-      }
-      sides.emplace_back(worker_id, dirent.path().string());
-    }
-    if (sides.empty()) return common::Status::Ok();
-    std::sort(sides.begin(), sides.end());  // worker order: deterministic
-
-    common::Status first_error;
-    bool appended = false;
-    for (const auto& [worker_id, side_path] : sides) {
-      std::string file;
-      {
-        std::ifstream in(side_path, std::ios::binary);
-        if (!in) {
-          if (first_error.ok()) {
-            first_error = common::InternalError(
-                common::StrCat("pack ", side_path, ": cannot read"));
-          }
-          continue;
-        }
-        file.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-      }
-      if (file.size() < kPackHeaderSize ||
-          std::string_view(file).substr(0, kPackMagic.size()) != kPackMagic ||
-          LoadU32(file.data() + 8) != kPackVersion ||
-          LoadU32(file.data() + 12) != kByteOrderMark) {
-        if (first_error.ok()) {
-          first_error = PackError(side_path, "not a pack segment");
-        }
-        continue;
-      }
-      // Salvage whatever validates, even from a worker killed mid-save.
-      PackIndex side_index;
-      uint64_t side_end = 0;
-      LoadIndex(file, &side_index, &side_end);
-      common::Status fold = common::Status::Ok();
-      for (const auto& [key, meta] : side_index) {
-        auto it = index_.find(key);
-        if (it != index_.end() && it->second.fingerprint == meta.fingerprint &&
-            it->second.checksum == meta.checksum &&
-            it->second.length == meta.length) {
-          continue;  // already live — identical bytes by checksum
-        }
-        std::string_view bytes = std::string_view(file).substr(
-            meta.offset + kRecordHeaderSize, meta.length);
-        fold = AppendRawLocked(key, bytes, meta.fingerprint, meta.checksum);
-        if (!fold.ok()) break;
-        appended = true;
-      }
-      if (!fold.ok()) {
-        if (first_error.ok()) first_error = fold;
-        continue;  // leave the side segment for inspection
-      }
-      std::filesystem::remove(side_path, ec);
-    }
-    if (appended || first_error.ok()) {
-      common::Status status = WriteFooterLocked();
-      if (status.ok()) status = Remap();
-      if (!status.ok() && first_error.ok()) first_error = status;
-    }
-    return first_error;
   }
 
  private:
@@ -1001,9 +873,6 @@ class PackedStore final : public SnapshotStore,
 
   const std::string path_;
   const size_t page_cache_capacity_;
-  // Worker overlay: non-null on stores returned by ForkWorker; Find
-  // and LoadAll fall through to it on a local miss.
-  std::shared_ptr<SnapshotStore> base_;
 
   mutable std::mutex mu_;
   int fd_ = -1;

@@ -54,12 +54,9 @@
 // repeated Finds of one signature (e.g. the session cache and the
 // service cache sharing a store) pay one replay.
 //
-// Sharded audits: ForkWorker (called in the forked child) opens a
-// private side segment "<path>.worker.<id>" layered over the parent
-// segment — reads fall through, writes append locally, so sibling
-// workers never contend. MergeWorkers folds the side segments back
-// into the main one, copying record bytes verbatim (replay is
-// deterministic, so merged records reproduce byte-identical reports).
+// One process writes a pack. Sharded audits, forked or over TCP, reach
+// it through the coordinator's StoreServer (remote_store.h), so every
+// worker save lands in this one segment through that one writer.
 #ifndef OODBSEC_SNAPSHOT_PACKED_STORE_H_
 #define OODBSEC_SNAPSHOT_PACKED_STORE_H_
 

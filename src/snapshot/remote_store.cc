@@ -1,5 +1,7 @@
 #include "snapshot/remote_store.h"
 
+#include <sys/socket.h>
+
 #include <utility>
 
 #include "common/strings.h"
@@ -173,14 +175,6 @@ class RemoteSnapshotStore : public SnapshotStore {
     return {};
   }
 
-  common::Result<std::shared_ptr<SnapshotStore>> ForkWorker(int) override {
-    // A forked child must not reuse the parent's connection (two
-    // processes interleaving frames on one socket); it gets a fresh
-    // lazy client to the same address.
-    return std::shared_ptr<SnapshotStore>(
-        std::make_shared<RemoteSnapshotStore>(host_port_, options_));
-  }
-
  private:
   // Dial + hello if needed, send `request`, read one reply into *reply.
   // One bounded reconnect: an operation fails only when the retry also
@@ -308,6 +302,10 @@ common::Status StoreServer::Start(const schema::Schema& schema,
 void StoreServer::Stop() {
   if (!running()) return;
   stop_.store(true);
+  // Wakes the accept loop's poll now rather than at its next 200 ms
+  // tick, so a server started for one run stops as soon as its
+  // clients hang up.
+  ::shutdown(listener_.fd(), SHUT_RDWR);
   accept_thread_.join();
   std::vector<std::thread> connections;
   {

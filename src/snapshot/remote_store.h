@@ -1,12 +1,14 @@
 // The networked snapshot tier: a SnapshotStore client and the server
 // that fronts a real store over TCP.
 //
-// A distributed audit fleet (service/tcp_shard.h) wants every worker
-// warm, but the packed segment lives on the coordinator's disk. Rather
-// than rsync pack files around, the coordinator runs a StoreServer in
-// front of its store and each worker mounts a RemoteSnapshotStore —
-// the same SnapshotStore interface the closure cache already speaks,
-// so the L1/L2 tiering code does not know the L2 is remote.
+// A sharded audit (service/tcp_shard.h) wants every worker warm, but
+// the packed segment lives on the coordinator's disk. Rather than
+// rsync pack files around, the coordinator runs a StoreServer in front
+// of its store and each worker — a remote TCP worker or a forked child
+// alike — mounts a RemoteSnapshotStore: the same SnapshotStore
+// interface the closure cache already speaks, so the L1/L2 tiering
+// code does not know the L2 is remote, and the server is the pack's
+// only writer.
 //
 // What crosses the wire is a *v3 packed record* (packed_store.h), the
 // same bytes a pack stores per entry: Find ships the record verbatim
@@ -59,8 +61,7 @@ struct RemoteStoreOptions {
 
 // Opens a SnapshotStore speaking the store protocol to `host_port`.
 // The connection is lazy (first Find/Save dials and hellos), so opening
-// never blocks and ForkWorker can hand fresh instances to forked
-// children. Sweep is server-side only and returns kFailedPrecondition;
+// never blocks. Sweep is server-side only and returns kFailedPrecondition;
 // LoadAll over the wire is deliberately unsupported (returns empty) —
 // remote warmth comes from per-signature Finds.
 std::shared_ptr<SnapshotStore> OpenRemoteStore(

@@ -13,14 +13,13 @@
 //
 // Both speak the one v3 record format (snapshot.h, packed_store.h).
 //
-// A store is shared: one object serves the session's recheck cache,
-// the service's closure cache, and every sharded worker (ForkWorker /
-// MergeWorkers give multi-process stores a fork-safe protocol).
+// A store is shared: one object serves the session's recheck cache
+// and the service's closure cache. Sharded workers, forked or remote,
+// reach the coordinator's store only through a StoreServer
+// (remote_store.h), which makes the server the store's one writer
+// across processes.
 // Thread-safety: Find/Save/Sweep/Stats may be called from any thread;
-// implementations synchronize internally. ForkWorker/MergeWorkers
-// follow the sharded-audit fork discipline (see shard.h): ForkWorker
-// is called in the freshly forked child, MergeWorkers in the
-// coordinator after every worker exited.
+// implementations synchronize internally.
 #ifndef OODBSEC_SNAPSHOT_SNAPSHOT_STORE_H_
 #define OODBSEC_SNAPSHOT_SNAPSHOT_STORE_H_
 
@@ -111,16 +110,6 @@ class SnapshotStore {
       const schema::Schema& schema, const core::ClosureOptions& options,
       size_t limit, size_t* invalid = nullptr,
       obs::Observability* obs = nullptr) = 0;
-
-  // Multi-process protocol for the sharded audit. ForkWorker is called
-  // in a freshly forked worker and returns the store that worker should
-  // use: reads see everything the parent store held at fork time,
-  // writes go to a private side location that never races siblings.
-  // MergeWorkers is called by the coordinator after all workers exited
-  // and folds their side writes back into this store.
-  virtual common::Result<std::shared_ptr<SnapshotStore>> ForkWorker(
-      int worker_id) = 0;
-  virtual common::Status MergeWorkers() { return common::Status::Ok(); }
 };
 
 }  // namespace oodbsec::snapshot

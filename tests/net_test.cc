@@ -1,26 +1,28 @@
 // Distributed-transport tests: stream-hardened binio, the frame codec's
-// robustness contract, the TCP shard transport's byte-identity triangle
-// against fork and single-process CheckBatch, worker-death re-queue on
-// both transports, and the networked snapshot tier.
+// robustness contract, the shard protocol's byte-identity triangle
+// (fork launcher, TCP fleet, single-process CheckBatch), worker-death
+// re-queue, the fork launcher's child reaping, and the networked
+// snapshot tier.
 //
-// Ordering caveat inside every parity test: the fork transport runs
+// Ordering caveat inside every test that forks: the fork launcher runs
 // FIRST, before any TCP worker thread exists — fork() wants a
-// single-threaded process image (service/shard.h). gtest runs tests
+// single-threaded process image (service/tcp_shard.h). The launcher
+// itself leaves no thread or child behind, gtest runs tests
 // sequentially and each test joins its threads, so the image is
 // single-threaded again at the next test's fork.
 #include <pthread.h>
 #include <signal.h>
-#include <stdlib.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -197,15 +199,20 @@ TEST(BinioStreamTest, WriteFullSurvivesTinyPipeBuffer) {
     payload[i] = static_cast<char>(i * 131);
   }
 
-  std::string got;
-  std::thread reader([fd = fds[0], &got] {
-    got = snapshot::ReadToEof(fd);
+  // The reader takes exactly the payload, then sees EOF.
+  std::string got(payload.size(), '\0');
+  bool exact = false;
+  std::thread reader([fd = fds[0], &got, &exact] {
+    char extra = 0;
+    exact = snapshot::ReadFull(fd, got.data(), got.size()) &&
+            !snapshot::ReadFull(fd, &extra, 1);
     ::close(fd);
   });
 
   EXPECT_TRUE(snapshot::WriteFull(fds[1], payload));
   ::close(fds[1]);
   reader.join();
+  EXPECT_TRUE(exact);
   EXPECT_EQ(got, payload);
 }
 
@@ -312,14 +319,14 @@ TEST(FrameTest, OversizedLengthRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 3: the transport parity triangle. Fork, TCP, and
+// The transport parity triangle. Fork launcher, TCP fleet, and
 // single-process CheckBatch must agree byte for byte.
 
 TEST(TcpShardTest, TransportParityTriangle) {
   Fleet fleet = MakeFleet();
 
   // Fork FIRST: no thread may exist yet.
-  service::ShardOptions fork_options;
+  service::ForkTransportOptions fork_options;
   fork_options.shard_count = 2;
   service::ForkTransport fork_transport(fork_options);
   auto fork_run = fork_transport.Run(*fleet.schema, *fleet.users, fleet.sheet,
@@ -336,7 +343,6 @@ TEST(TcpShardTest, TransportParityTriangle) {
   tcp_options.workers = loopback.addresses();
   tcp_options.io_timeout_ms = 10000;
   service::TcpTransport tcp_transport(tcp_options);
-  EXPECT_EQ(tcp_transport.name(), "tcp");
   auto tcp_run =
       tcp_transport.Run(*fleet.schema, *fleet.users, fleet.sheet, nullptr);
   ASSERT_TRUE(tcp_run.ok()) << tcp_run.status();
@@ -365,10 +371,10 @@ TEST(TcpShardTest, UnknownUserErrorMatchesCheckBatchAndFork) {
   fleet.sheet.insert(fleet.sheet.begin() + 2, std::move(ghost).value());
 
   // Fork first (thread caveat), then the reference, then TCP.
-  service::ShardOptions fork_options;
+  service::ForkTransportOptions fork_options;
   fork_options.shard_count = 2;
-  auto fork_run = RunShardedBatch(*fleet.schema, *fleet.users, fleet.sheet,
-                                  fork_options, nullptr);
+  auto fork_run = service::ForkTransport(fork_options)
+                      .Run(*fleet.schema, *fleet.users, fleet.sheet, nullptr);
   ASSERT_FALSE(fork_run.ok());
 
   service::AnalysisService single(*fleet.schema, *fleet.users);
@@ -836,59 +842,52 @@ TEST_F(RawStorePeerTest, PreviousProtocolVersionRefusedAtHello) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 2: fork-path worker death surfaces a diagnosed error and
-// leaves no orphaned side segments behind.
+// The fork launcher reaps every child it forked on every return path:
+// after a clean run, after a run with no batches (every requirement
+// names an unknown user), and after a run whose workers mounted the
+// coordinator's store. No zombie, no orphan: this process has no child
+// left to wait for.
 
-TEST(ForkShardTest, WorkerDeathSurfacesShardError) {
+TEST(ForkShardTest, RunLeavesNoChildBehind) {
   Fleet fleet = MakeFleet();
+  auto expect_no_child = [](const char* after) {
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << after;
+    EXPECT_EQ(errno, ECHILD) << after;
+  };
+  service::ForkTransportOptions options;
+  options.shard_count = 3;
+  auto clean = service::ForkTransport(options).Run(
+      *fleet.schema, *fleet.users, fleet.sheet, nullptr);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  expect_no_child("clean run");
+
+  std::vector<core::Requirement> ghosts;
+  for (const char* text :
+       {"(ghost, r_salary(x) : ti)", "(phantom, r_budget(x) : ti)"}) {
+    auto parsed = core::ParseRequirementString(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    ghosts.push_back(std::move(parsed).value());
+  }
+  auto unknown = service::ForkTransport(options).Run(
+      *fleet.schema, *fleet.users, ghosts, nullptr);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), common::StatusCode::kNotFound);
+  expect_no_child("run with no batches");
+
   ScopedTempDir tmp("oodbsec_net_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
-  std::string pack = dir + "/cache.pack";
-  auto store = snapshot::OpenPackedStore(pack);
+  auto store =
+      snapshot::OpenPackedStore(common::StrCat(tmp.path(), "/fleet.pack"));
   ASSERT_TRUE(store.ok()) << store.status();
-
-  service::ShardOptions options;
-  options.shard_count = 2;
-  options.save_snapshots = true;
   options.snapshot_store = store.value();
-
-  // The seam: shard 0's worker writes half its stream and exits 3 —
-  // the OOM-killed-worker shape.
-  ASSERT_EQ(::setenv("OODBSEC_TEST_SHARD_CRASH", "0", 1), 0);
-  auto run = RunShardedBatch(*fleet.schema, *fleet.users, fleet.sheet,
-                             options, nullptr);
-  ASSERT_EQ(::unsetenv("OODBSEC_TEST_SHARD_CRASH"), 0);
-
-  ASSERT_FALSE(run.ok());
-  EXPECT_NE(run.status().message().find("shard 0"), std::string::npos);
-  EXPECT_NE(run.status().message().find("exited with status 3"),
-            std::string::npos);
-
-  // The coordinator still merged the surviving workers' side segments:
-  // nothing named *.worker.* may be left on disk.
-  int side_segments = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().filename().string().find(".worker.") !=
-        std::string::npos) {
-      ++side_segments;
-    }
-  }
-  EXPECT_EQ(side_segments, 0);
-
-  // The fleet recovers: the same batch over the same store now runs
-  // clean, byte-identical to single-process.
-  auto retry = RunShardedBatch(*fleet.schema, *fleet.users, fleet.sheet,
-                               options, nullptr);
-  ASSERT_TRUE(retry.ok()) << retry.status();
-
-  service::AnalysisService single(*fleet.schema, *fleet.users);
-  auto single_run = single.CheckBatch(fleet.sheet);
-  ASSERT_TRUE(single_run.ok()) << single_run.status();
-  for (size_t i = 0; i < fleet.sheet.size(); ++i) {
-    EXPECT_EQ(retry.value().reports[i].ToString(),
-              single_run.value()[i].ToString());
-  }
+  options.save_snapshots = true;
+  auto stored = service::ForkTransport(options).Run(
+      *fleet.schema, *fleet.users, fleet.sheet, nullptr);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ(stored.value().merged_stats.closures_built, 3u);
+  EXPECT_EQ(store.value()->Stats().entries, 3u);
+  expect_no_child("store-backed run");
 }
 
 }  // namespace

@@ -9,7 +9,8 @@
 // still validates to survive. The retention suite drifts the schema and
 // requires one sweep to reclaim 100% of the stale generation's bytes.
 // The page-cache and shard suites pin the LRU accounting and the
-// fork/merge parity of the sharded audit over one shared pack.
+// cold/warm parity of a forked sharded audit over one shared pack,
+// which its workers reach through the coordinator's store server.
 //
 // This binary has its own main: `packed_store_test --packed-worker
 // <pack>` runs the stockbroker audit against a packed store and prints
@@ -41,6 +42,7 @@
 #include "schema/user.h"
 #include "service/analysis_service.h"
 #include "service/shard.h"
+#include "service/tcp_shard.h"
 #include "snapshot/packed_store.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/snapshot_store.h"
@@ -530,26 +532,6 @@ TEST_F(PackedStoreTest, SharedStoreIsSharedThroughTheSessionOptions) {
   EXPECT_EQ(session.recheck_cache().snapshot_store().get(), store.get());
 }
 
-TEST_F(PackedStoreTest, MergeSkipsSideSegmentIdsThatOverflow) {
-  // A stray file whose all-digit suffix overflows any worker id is
-  // debris: the merge skips it instead of aborting the coordinator, and
-  // still folds the real worker's side segment.
-  auto store = Open();
-  ASSERT_NE(store, nullptr);
-  auto side = store->ForkWorker(0);
-  ASSERT_TRUE(side.ok()) << side.status();
-  ASSERT_NE(BuildAndSave(*schema_, options_, side.value(), kFullRoots),
-            nullptr);
-  const std::string stray = pack_ + ".worker.99999999999999999999";
-  WriteFileBytes(stray, "debris");
-
-  ASSERT_TRUE(store->MergeWorkers().ok());
-  EXPECT_TRUE(std::filesystem::exists(stray));
-  EXPECT_FALSE(std::filesystem::exists(pack_ + ".worker.0"));
-  EXPECT_EQ(store->Stats().entries, 1u);
-  EXPECT_TRUE(store->Find(*schema_, options_, kFullRoots).ok());
-}
-
 // --- sharded audit over one shared pack ------------------------------
 
 TEST(PackedShard, SharedPackParityAcrossRestart) {
@@ -559,7 +541,7 @@ TEST(PackedShard, SharedPackParityAcrossRestart) {
   std::string pack = common::StrCat(dir, "/fleet.pack");
   Fleet fleet = MakeFleet();
 
-  service::ShardOptions options;
+  service::ForkTransportOptions options;
   options.shard_count = 4;
   options.save_snapshots = true;
   {
@@ -568,18 +550,18 @@ TEST(PackedShard, SharedPackParityAcrossRestart) {
     options.snapshot_store = store.value();
   }
 
-  auto cold = service::RunShardedBatch(*fleet.schema, *fleet.users,
-                                       fleet.sheet, options);
+  auto cold = service::ForkTransport(options).Run(
+      *fleet.schema, *fleet.users, fleet.sheet, nullptr);
   ASSERT_TRUE(cold.ok()) << cold.status();
   EXPECT_EQ(cold->merged_stats.closures_built, 3u);
   EXPECT_EQ(cold->merged_stats.snapshot_hits, 0u);
 
-  // Kill the fleet: drop the store and reopen the pack cold. The
-  // coordinator's merge must have folded every worker's side segment
-  // into the main one, and no worker side files may survive.
+  // Kill the fleet: drop the store and reopen the pack cold. Every
+  // worker saved through the coordinator's store server, so the pack
+  // holds all three closures and is the only file in its directory.
   options.snapshot_store.reset();
   for (const auto& dirent : std::filesystem::directory_iterator(dir)) {
-    EXPECT_EQ(dirent.path().string(), pack) << "stray side segment";
+    EXPECT_EQ(dirent.path().string(), pack) << "stray file beside the pack";
   }
   {
     auto store = snapshot::OpenPackedStore(pack);
@@ -588,8 +570,8 @@ TEST(PackedShard, SharedPackParityAcrossRestart) {
     options.snapshot_store = store.value();
   }
 
-  auto warm = service::RunShardedBatch(*fleet.schema, *fleet.users,
-                                       fleet.sheet, options);
+  auto warm = service::ForkTransport(options).Run(
+      *fleet.schema, *fleet.users, fleet.sheet, nullptr);
   ASSERT_TRUE(warm.ok()) << warm.status();
   EXPECT_EQ(warm->merged_stats.closures_built, 0u);
   EXPECT_EQ(warm->merged_stats.snapshot_hits, 3u);

@@ -32,6 +32,7 @@
 #include "service/analysis_service.h"
 #include "service/capability_signature.h"
 #include "service/shard.h"
+#include "service/tcp_shard.h"
 #include "snapshot/binio.h"
 #include "snapshot/packed_store.h"
 #include "snapshot/snapshot.h"
@@ -692,11 +693,11 @@ TEST(ShardTest, ShardOfIsStableAndInRange) {
 
 TEST(ShardTest, ShardedBatchMatchesSingleProcessByteForByte) {
   Fleet fleet = MakeFleet();
-  // Fork first: no thread pool may exist yet (see shard.h).
-  service::ShardOptions options;
+  // Fork first: no thread pool may exist yet (see tcp_shard.h).
+  service::ForkTransportOptions options;
   options.shard_count = 4;
-  auto sharded = service::RunShardedBatch(*fleet.schema, *fleet.users,
-                                          fleet.sheet, options);
+  auto sharded = service::ForkTransport(options).Run(
+      *fleet.schema, *fleet.users, fleet.sheet, nullptr);
   ASSERT_TRUE(sharded.ok()) << sharded.status();
 
   service::AnalysisService svc(*fleet.schema, *fleet.users,
@@ -719,15 +720,15 @@ TEST(ShardTest, ShardedBatchMatchesSingleProcessByteForByte) {
 
 TEST(ShardTest, SingleShardAndManyShardsAgree) {
   Fleet fleet = MakeFleet();
-  service::ShardOptions one;
+  service::ForkTransportOptions one;
   one.shard_count = 1;
-  auto single = service::RunShardedBatch(*fleet.schema, *fleet.users,
-                                         fleet.sheet, one);
+  auto single = service::ForkTransport(one).Run(*fleet.schema, *fleet.users,
+                                                fleet.sheet, nullptr);
   ASSERT_TRUE(single.ok()) << single.status();
-  service::ShardOptions many;
+  service::ForkTransportOptions many;
   many.shard_count = 7;  // more shards than signatures
-  auto wide = service::RunShardedBatch(*fleet.schema, *fleet.users,
-                                       fleet.sheet, many);
+  auto wide = service::ForkTransport(many).Run(*fleet.schema, *fleet.users,
+                                               fleet.sheet, nullptr);
   ASSERT_TRUE(wide.ok()) << wide.status();
   ASSERT_EQ(single->reports.size(), wide->reports.size());
   for (size_t i = 0; i < single->reports.size(); ++i) {
@@ -743,10 +744,10 @@ TEST(ShardTest, UnknownUserErrorMatchesCheckBatch) {
   // is the earliest failure — in both runs.
   fleet.sheet.insert(fleet.sheet.begin() + 2, std::move(ghost).value());
 
-  service::ShardOptions options;
+  service::ForkTransportOptions options;
   options.shard_count = 3;
-  auto sharded = service::RunShardedBatch(*fleet.schema, *fleet.users,
-                                          fleet.sheet, options);
+  auto sharded = service::ForkTransport(options).Run(
+      *fleet.schema, *fleet.users, fleet.sheet, nullptr);
   ASSERT_FALSE(sharded.ok());
 
   service::AnalysisService svc(*fleet.schema, *fleet.users,
@@ -755,33 +756,6 @@ TEST(ShardTest, UnknownUserErrorMatchesCheckBatch) {
   ASSERT_FALSE(batch.ok());
   EXPECT_EQ(sharded.status().code(), batch.status().code());
   EXPECT_EQ(sharded.status().message(), batch.status().message());
-}
-
-TEST(ShardTest, ShardedWorkersShareTheSnapshotTier) {
-  ScopedTempDir tmp("oodbsec_snapshot_test");
-  ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
-  Fleet fleet = MakeFleet();
-  service::ShardOptions options;
-  options.shard_count = 4;
-  options.snapshot_store = OpenPack(dir);
-  options.save_snapshots = true;
-
-  auto cold = service::RunShardedBatch(*fleet.schema, *fleet.users,
-                                       fleet.sheet, options);
-  ASSERT_TRUE(cold.ok()) << cold.status();
-  EXPECT_EQ(cold->merged_stats.closures_built, 3u);
-  EXPECT_EQ(cold->merged_stats.snapshot_hits, 0u);
-
-  auto warm = service::RunShardedBatch(*fleet.schema, *fleet.users,
-                                       fleet.sheet, options);
-  ASSERT_TRUE(warm.ok()) << warm.status();
-  EXPECT_EQ(warm->merged_stats.closures_built, 0u);
-  EXPECT_EQ(warm->merged_stats.snapshot_hits, 3u);
-  ASSERT_EQ(cold->reports.size(), warm->reports.size());
-  for (size_t i = 0; i < cold->reports.size(); ++i) {
-    EXPECT_EQ(cold->reports[i].ToString(), warm->reports[i].ToString());
-  }
 }
 
 }  // namespace
